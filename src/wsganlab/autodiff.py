@@ -9,7 +9,7 @@ follows numpy rules, with gradients summed back to the parent shape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,14 +35,12 @@ __all__ = [
     "mean",
     "total",
     "concat",
+    "linear_map",
     "AutodiffError",
     "NonFiniteGraphError",
     "GradCheckReport",
     "check_gradients",
     "check_gradients_params",
-    "AdamState",
-    "adam_init",
-    "adam_step",
     "Adam",
 ]
 
@@ -367,6 +365,19 @@ def concat(tensors, axis: int = 1):
     return _node(np.concatenate(datas, axis=axis), parents, bk, "concat")
 
 
+def linear_map(x, forward, adjoint):
+    """forward(x) for a caller's linear map, with `adjoint` as its transpose.
+
+    `forward` may broadcast x; the adjoint's output is summed back to x's shape.
+    """
+    xd = _data(x)
+
+    def bk(g):
+        _accum(x, _unbroadcast(adjoint(g), xd.shape))
+
+    return _node(forward(xd), (x,) if _needs(x) else (), bk, "linear_map")
+
+
 def _toposort(root: Tensor) -> list[Tensor]:
     order: list[Tensor] = []
     seen: set[int] = set()
@@ -418,42 +429,18 @@ class GradCheckReport:
         return self.max_rel_error <= tol
 
 
-def _rel_errors(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return np.abs(analytic - numeric) / denom
-
-
 def check_gradients(fn, point, step: float = 1e-5) -> GradCheckReport:
     """Compare the tape gradient of scalar-valued `fn` against central differences.
 
     `fn` maps one Tensor to a scalar Tensor.  The numeric pass perturbs one
     coordinate at a time; non-finite values at any evaluation abort the check.
+    The report's arrays take the shape of `point`.
     """
-    base = np.array(_data(point), dtype=np.float64)
-    p = Tensor(base, requires_grad=True)
-    out = fn(p)
-    if out.data.size != 1:
-        raise AutodiffError("check_gradients requires a scalar-valued function")
-    backward(out)
-    analytic = p.grad.copy() if p.grad is not None else np.zeros_like(base)
-
-    numeric = np.zeros_like(base)
-    flat = base.ravel()
-    num_flat = numeric.ravel()
-    with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            f_plus = float(fn(Tensor(base)).data)
-            flat[i] = orig - step
-            f_minus = float(fn(Tensor(base)).data)
-            flat[i] = orig
-            if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-                raise NonFiniteGraphError(f"non-finite value at perturbed coordinate {i}")
-            num_flat[i] = (f_plus - f_minus) / (2.0 * step)
-
-    rel = _rel_errors(analytic, numeric)
-    return GradCheckReport(analytic, numeric, rel, float(rel.max()) if rel.size else 0.0)
+    p = Tensor(np.array(_data(point), dtype=np.float64), requires_grad=True)
+    rep = check_gradients_params(lambda: fn(p), [p], step)
+    return GradCheckReport(
+        rep.analytic.reshape(p.shape), rep.numeric.reshape(p.shape), rep.rel_errors.reshape(p.shape), rep.max_rel_error
+    )
 
 
 def check_gradients_params(loss_fn, params, step: float = 1e-5) -> GradCheckReport:
@@ -485,11 +472,12 @@ def check_gradients_params(loss_fn, params, step: float = 1e-5) -> GradCheckRepo
                 f_minus = float(loss_fn().data)
                 flat[i] = orig
                 if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-                    raise NonFiniteGraphError("non-finite loss during finite differencing")
+                    raise NonFiniteGraphError(f"non-finite loss at perturbed coordinate {i}")
                 num[i] = (f_plus - f_minus) / (2.0 * step)
             chunks.append(num)
     numeric = np.concatenate(chunks)
-    rel = _rel_errors(analytic, numeric)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    rel = np.abs(analytic - numeric) / denom
     return GradCheckReport(analytic, numeric, rel, float(rel.max()) if rel.size else 0.0)
 
 
@@ -497,66 +485,42 @@ def check_gradients_params(loss_fn, params, step: float = 1e-5) -> GradCheckRepo
 # Adam
 
 
-@dataclass
-class AdamState:
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-    step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
-def adam_init(params, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    return AdamState(
-        m=[np.zeros_like(p.data) for p in params],
-        v=[np.zeros_like(p.data) for p in params],
-        step=0,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-    )
-
-
-def adam_step(params, grads, state: AdamState, lr: float) -> AdamState:
-    """One bias-corrected Adam update, in place on `params`.
-
-    `grads` entries may be None (treated as zero: moments decay, and from a
-    fresh state the parameters are untouched).  Non-finite gradients raise.
-    """
-    if len(params) != len(state.m) or len(grads) != len(params):
-        raise AutodiffError("adam_step: params/grads/state length mismatch")
-    state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1**state.step
-    c2 = 1.0 - b2**state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g is None:
-            g = np.zeros_like(p.data)
-        else:
-            g = np.asarray(g, dtype=np.float64)
-            if g.shape != p.data.shape:
-                raise AutodiffError(f"adam_step: gradient shape {g.shape} != param shape {p.data.shape}")
-            if not np.isfinite(g).all():
-                raise NonFiniteGraphError("adam_step: non-finite gradient")
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-    return state
-
-
 class Adam:
-    """Convenience wrapper binding an AdamState to a fixed parameter list."""
+    """Bias-corrected Adam over a fixed parameter list, updating in place."""
 
     def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
         self.lr = float(lr)
-        self.state = adam_init(self.params, beta1, beta2, eps)
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.steps = 0
 
     def step(self) -> None:
-        adam_step(self.params, [p.grad for p in self.params], self.state, self.lr)
+        """One update from each parameter's `.grad`.
+
+        A None gradient counts as zero (moments decay, and from a fresh state
+        the parameter is untouched).  Non-finite gradients raise.
+        """
+        self.steps += 1
+        b1, b2 = self.beta1, self.beta2
+        c1 = 1.0 - b1**self.steps
+        c2 = 1.0 - b2**self.steps
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad
+            if g is None:
+                g = np.zeros_like(p.data)
+            else:
+                g = np.asarray(g, dtype=np.float64)
+                if g.shape != p.data.shape:
+                    raise AutodiffError(f"Adam: gradient shape {g.shape} != param shape {p.data.shape}")
+                if not np.isfinite(g).all():
+                    raise NonFiniteGraphError("Adam: non-finite gradient")
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -19,22 +19,17 @@ import numpy as np
 from . import __version__
 from .data import DatasetSpec, load_dataset, save_dataset, synth_dataset
 from .harness import (
-    AUG_HEADER,
     AUG_MODES,
-    ExperimentConfig,
     HarnessError,
     LfPlan,
     config_hash,
     default_benchmark_config,
-    derive_seed,
-    experiment_config_from_dict,
     load_experiment_config,
     load_theory_grid,
     read_csv,
     run_augmentation,
     run_benchmark,
     run_theory_suite,
-    summarize_rows,
     verify_benchmark_dir,
     write_csv,
     RunManifest,

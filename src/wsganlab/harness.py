@@ -10,7 +10,6 @@ import dataclasses
 import hashlib
 import json
 import time
-import warnings
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -19,7 +18,6 @@ import numpy as np
 from . import __version__
 from .data import Dataset, DatasetSpec, save_dataset, synth_dataset
 from .labelmodel import (
-    LabelMatrix,
     LfSpec,
     crisp_labels,
     dawid_skene_fit,
@@ -29,8 +27,6 @@ from .labelmodel import (
 )
 from .metrics import (
     ClassifierConfig,
-    EvalReport,
-    adjusted_rand_index,
     frechet_gaussian_distance,
     pseudolabel_accuracy,
     train_eval_classifier,
@@ -49,6 +45,7 @@ from .theory import (
     verify_rcgan_tv_chain,
 )
 from .wsgan import (
+    HISTORY_COLUMNS,
     AugmentationRejectedError,
     TrainingConfig,
     augment_dataset,
@@ -343,7 +340,7 @@ def run_benchmark(config: ExperimentConfig, out_dir) -> RunManifest:
             manifest.checkpoints[f"{model}_seed{seed}"] = str(ckpt)
             table, _tags = pseudolabel_table(bundle, data.features, L)
             gen_feats, _codes = generate_samples(bundle, n_gen, seed=derive_seed(seed, _STREAM_GEN))
-            ari = history.records[-1][history_ari_index()] if history.records else float("nan")
+            ari = history.records[-1][HISTORY_COLUMNS.index("ari")] if history.records else float("nan")
             rows.append(_metric_row(seed, model, table, ari, data, gen_feats, config))
 
     header = ["seed", "model"] + list(config.metrics)
@@ -358,12 +355,6 @@ def run_benchmark(config: ExperimentConfig, out_dir) -> RunManifest:
     manifest.files["config"] = str(out_dir / "config.json")
     manifest.save_json(out_dir / "manifest.json")
     return manifest
-
-
-def history_ari_index() -> int:
-    from .wsgan import HISTORY_COLUMNS
-
-    return HISTORY_COLUMNS.index("ari")
 
 
 def summarize_rows(rows: list, metrics) -> list:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "WeakSupError",
@@ -73,11 +72,60 @@ class LfSpec:
             raise WeakSupError(f"propensity {self.propensity} outside (0, 1]")
 
 
-def _as_votes(L) -> np.ndarray:
+def _as_votes(L, class_count: int | None = None) -> tuple[np.ndarray, int | None]:
+    """(votes, C) of a LabelMatrix or a raw (n, m) vote array.
+
+    C is `class_count` when given, else the matrix's own; a raw array without
+    one gives None, which `_vote_index` rejects.
+    """
     votes = L.votes if isinstance(L, LabelMatrix) else np.asarray(L, dtype=np.int64)
     if votes.ndim != 2:
         raise WeakSupError(f"label matrix must be 2-D, got shape {votes.shape}")
-    return votes
+    if class_count is None and isinstance(L, LabelMatrix):
+        class_count = L.class_count
+    return votes, class_count
+
+
+# ---------------------------------------------------------------------------
+# the vote encoding: every label model turns votes into class scores here
+
+
+def _vote_index(votes: np.ndarray, class_count: int | None) -> np.ndarray:
+    """Flat position of vote (i, j) in an (n, C+1) table: i*(C+1) + vote.
+
+    Column 0 collects abstains.  A vote outside 0..C would land in another
+    row's cell, so the range is checked here, where the index is built.
+    """
+    if class_count is None:
+        raise WeakSupError("class_count required for a raw vote array")
+    if votes.size and (votes.min() < 0 or votes.max() > class_count):
+        raise WeakSupError(f"votes outside 0..{class_count}")
+    return votes + (class_count + 1) * np.arange(votes.shape[0])[:, None]
+
+
+def _scatter(index: np.ndarray, weights, class_count: int) -> np.ndarray:
+    """(n, C) class scores: each row's vote weights summed by the class voted.
+
+    `weights` is (n, m), a shared (m,), or None to count votes.
+    """
+    n = index.shape[0]
+    if weights is not None:
+        weights = np.broadcast_to(weights, index.shape).ravel()
+    table = np.bincount(index.ravel(), weights, minlength=n * (class_count + 1))
+    return table.reshape(n, class_count + 1)[:, 1:]
+
+
+def _gather(index: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Adjoint of `_scatter`: entry (i, j) is scores[i, vote_ij - 1], 0 for an abstain."""
+    return np.pad(scores, ((0, 0), (1, 0))).ravel()[index]
+
+
+def _softmax_rows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise softmax of (n, C) scores and each row's log-normalizer (n,)."""
+    top = scores.max(axis=1, keepdims=True)
+    e = np.exp(scores - top)
+    norm = e.sum(axis=1, keepdims=True)
+    return e / norm, (top + np.log(norm))[:, 0]
 
 
 class LabelMatrix:
@@ -200,7 +248,7 @@ def lf_stats(L, true_labels: np.ndarray) -> LfStats:
     Accuracy is undefined (NaN, defined=False) for an LF with no votes;
     summary accuracy stats skip undefined entries.
     """
-    votes = _as_votes(L)
+    votes, _ = _as_votes(L)
     y = np.asarray(true_labels, dtype=np.int64)
     if y.shape != (votes.shape[0],):
         raise WeakSupError("true_labels length must match the matrix rows")
@@ -225,15 +273,8 @@ def lf_stats(L, true_labels: np.ndarray) -> LfStats:
 
 def coverage_filter(L) -> np.ndarray:
     """Indices of rows with at least one non-abstain vote."""
-    votes = _as_votes(L)
+    votes, _ = _as_votes(L)
     return np.flatnonzero((votes != 0).any(axis=1))
-
-
-def _vote_counts(votes: np.ndarray, class_count: int) -> np.ndarray:
-    counts = np.empty((votes.shape[0], class_count))
-    for k in range(1, class_count + 1):
-        counts[:, k - 1] = (votes == k).sum(axis=1)
-    return counts
 
 
 def majority_vote(L, class_count: int | None = None) -> PosteriorTable:
@@ -241,14 +282,10 @@ def majority_vote(L, class_count: int | None = None) -> PosteriorTable:
 
     Rows with no votes get the uniform distribution and covered=False.
     """
-    votes = _as_votes(L)
-    if class_count is None:
-        if not isinstance(L, LabelMatrix):
-            raise WeakSupError("class_count required for a raw vote array")
-        class_count = L.class_count
-    counts = _vote_counts(votes, class_count)
+    votes, C = _as_votes(L, class_count)
+    counts = _scatter(_vote_index(votes, C), None, C)
     covered = counts.sum(axis=1) > 0
-    probs = np.full((votes.shape[0], class_count), 1.0 / class_count)
+    probs = np.full((votes.shape[0], C), 1.0 / C)
     if covered.any():
         c = counts[covered]
         winners = c == c.max(axis=1, keepdims=True)
@@ -267,26 +304,15 @@ def weighted_softmax_posterior(votes, weights, class_count: int) -> np.ndarray:
     single = votes.ndim == 1
     v = votes[None, :] if single else votes
     w = np.asarray(weights, dtype=np.float64)
-    if w.ndim == 1:
-        w = np.broadcast_to(w, v.shape)
-    if w.shape != v.shape:
+    if w.shape not in (v.shape, v.shape[1:]):
         raise WeakSupError(f"weights shape {w.shape} incompatible with votes {v.shape}")
-    scores = np.empty((v.shape[0], class_count))
-    for k in range(1, class_count + 1):
-        scores[:, k - 1] = (w * (v == k)).sum(axis=1)
-    z = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    probs = e / e.sum(axis=1, keepdims=True)
+    probs, _ = _softmax_rows(_scatter(_vote_index(v, class_count), w, class_count))
     return probs[0] if single else probs
 
 
 def weighted_posterior_table(L, weights, class_count: int | None = None) -> PosteriorTable:
-    votes = _as_votes(L)
-    if class_count is None:
-        if not isinstance(L, LabelMatrix):
-            raise WeakSupError("class_count required for a raw vote array")
-        class_count = L.class_count
-    probs = weighted_softmax_posterior(votes, weights, class_count)
+    votes, C = _as_votes(L, class_count)
+    probs = weighted_softmax_posterior(votes, weights, C)
     covered = (votes != 0).any(axis=1)
     return PosteriorTable(probs, covered)
 
@@ -328,24 +354,16 @@ def dawid_skene_fit(
     marginal log-likelihood is recorded each iteration and is monotone
     non-decreasing; convergence is an absolute change below `tol`.
     """
-    votes = _as_votes(L)
-    if class_count is None:
-        if not isinstance(L, LabelMatrix):
-            raise WeakSupError("class_count required for a raw vote array")
-        class_count = L.class_count
+    votes, C = _as_votes(L, class_count)
     n, m = votes.shape
     if n == 0:
         raise WeakSupError("empty label matrix")
-    C = class_count
-    voted = votes != 0
-    vote_counts = voted.sum(axis=0)
+    index = _vote_index(votes, C)
+    vote_counts = np.count_nonzero(votes, axis=0)
+    covered = votes.any(axis=1)
 
     acc = np.clip(np.full(m, float(init_accuracy)), 1e-4, 1.0 - 1e-4)
     prior = np.full(C, 1.0 / C)
-    covered = voted.any(axis=1)
-
-    # agree[i, j, k] would be O(n*m*C); instead precompute per-class agreement masks
-    agree = [votes == k for k in range(1, C + 1)]  # list of (n, m) bool
 
     trace: list[float] = []
     converged = False
@@ -354,28 +372,20 @@ def dawid_skene_fit(
     for it in range(1, max_iters + 1):
         log_acc = np.log(acc)
         log_err = np.log((1.0 - acc) / (C - 1))
-        # log P(votes_i | y=k) = sum_j agree*log a_j + disagree*log err_j over covered votes
-        log_lik = np.empty((n, C))
-        for k in range(C):
-            a_mask = agree[k]
-            d_mask = voted & ~a_mask
-            log_lik[:, k] = a_mask @ log_acc + d_mask @ log_err
-        joint = log_lik + np.log(prior)[None, :]
-        ll = float(logsumexp(joint, axis=1).sum())
-        trace.append(ll)
-
-        z = joint - joint.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        posteriors = e / e.sum(axis=1, keepdims=True)
+        # log P(votes_i | y=k) = sum over covered votes of log err_j, plus
+        # log a_j - log err_j for each vote that equals k.  The first sum does
+        # not depend on k, so it cancels in the posterior and enters the
+        # log-likelihood summed over rows: sum_j vote_counts_j * log err_j.
+        joint = _scatter(index, log_acc - log_err, C) + np.log(prior)[None, :]
+        posteriors, log_norm = _softmax_rows(joint)
+        trace.append(float(vote_counts @ log_err + log_norm.sum()))
 
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
             converged = True
             break
 
         # M-step
-        agree_weight = np.zeros(m)
-        for k in range(C):
-            agree_weight += posteriors[:, k] @ agree[k]
+        agree_weight = _gather(index, posteriors).sum(axis=0)
         with np.errstate(invalid="ignore", divide="ignore"):
             new_acc = np.where(vote_counts > 0, agree_weight / np.maximum(vote_counts, 1), acc)
         acc = np.clip(new_acc, 1e-4, 1.0 - 1e-4)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -22,9 +21,11 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam, Tensor
 from .labelmodel import (
-    LabelMatrix,
     PosteriorTable,
     _as_votes,
+    _gather,
+    _scatter,
+    _vote_index,
     crisp_labels,
     weighted_softmax_posterior,
 )
@@ -207,7 +208,7 @@ class ModelBundle:
         return ad.softmax(self.code_head(feats))
 
     def lf_weights(self, feats: Tensor | None = None) -> Tensor:
-        """Per-LF reliability weights in (0,1): per-sample (encoder) or shared."""
+        """Per-LF reliability weights in (0,1): per-sample (encoder) or shared (vector; `feats` unused)."""
         if self.config.mode == "vector":
             return ad.sigmoid(self.weight_vector)
         if feats is None:
@@ -273,13 +274,13 @@ def info_loss(code_onehot: np.ndarray, code_probs) -> Tensor:
 def weighted_posterior_tensor(votes: np.ndarray, weights: Tensor, class_count: int) -> Tensor:
     """Differentiable twin of weighted_softmax_posterior for a vote batch.
 
-    votes: (n, m) ints; weights: (n, m) or broadcastable (m,) Tensor.
+    votes: (n, m) ints; weights: (n, m) or broadcastable (m,) Tensor.  The
+    class scores are one linear node: the label models' vote scatter, whose
+    adjoint gathers each vote's class gradient back to its weight.
     """
-    votes = np.asarray(votes, dtype=np.int64)
-    m = votes.shape[1]
-    ones = np.ones((m, 1))
-    cols = [ad.matmul(ad.mul(weights, (votes == k).astype(np.float64)), ones) for k in range(1, class_count + 1)]
-    return ad.softmax(ad.concat(cols, axis=1))
+    index = _vote_index(np.asarray(votes, dtype=np.int64), class_count)
+    scores = ad.linear_map(weights, lambda w: _scatter(index, w, class_count), lambda g: _gather(index, g))
+    return ad.softmax(scores)
 
 
 def alignment_loss(
@@ -311,12 +312,8 @@ def alignment_loss(
 
     feats = bundle.features(Tensor(x_batch))
     code_probs = bundle.code_posterior(feats)
-    if config.mode == "vector":
-        weights = ad.sigmoid(bundle.weight_vector)
-        per_row = 1
-    else:
-        weights = ad.sigmoid(bundle.weight_head(ad.detach(feats)))
-        per_row = n
+    weights = bundle.lf_weights(ad.detach(feats))
+    per_row = n if weights.data.ndim == 2 else 1
     label_post = weighted_posterior_tensor(votes_batch, weights, C)
 
     ce_code_side = cross_entropy(bundle.label_posterior_from_code(code_probs), ad.detach(label_post))
@@ -391,7 +388,7 @@ def train(dataset, L, config: TrainingConfig) -> tuple[ModelBundle, TrainingHist
     hidden_labels = np.asarray(dataset.labels, dtype=np.int64)
     if not np.isfinite(x).all():
         raise TrainingError("dataset features must be finite")
-    votes = _as_votes(L)
+    votes, _ = _as_votes(L)
     if votes.shape[0] != x.shape[0]:
         raise TrainingError("label matrix rows must match dataset rows")
     if x.shape[1] != config.feature_dim or votes.shape[1] != config.num_lfs:
@@ -491,13 +488,8 @@ def _epoch_metrics(bundle, x, votes, covered_mask, hidden_labels) -> tuple[float
         ari = adjusted_rand_index(code_assign, hidden_labels)
         if not covered_mask.any():
             return ari, 0.0
-        if bundle.config.mode == "vector":
-            weights = 1.0 / (1.0 + np.exp(-bundle.weight_vector.data))
-        else:
-            weights = bundle.lf_weights(bundle.features(Tensor(x[covered_mask]))).data
-        probs = weighted_softmax_posterior(votes[covered_mask], weights, bundle.config.class_count)
-        preds = np.argmax(probs, axis=1) + 1
-        pl_acc = float((preds == hidden_labels[covered_mask]).mean())
+        table, _ = pseudolabel_table(bundle, x[covered_mask], votes[covered_mask])
+        pl_acc = float((crisp_labels(table) == hidden_labels[covered_mask]).mean())
     return ari, pl_acc
 
 
@@ -508,20 +500,9 @@ def _epoch_metrics(bundle, x, votes, covered_mask, hidden_labels) -> tuple[float
 def predict_pseudolabels(bundle: ModelBundle, x_row: np.ndarray, votes_row=None) -> tuple[np.ndarray, str]:
     """Posterior for one sample: LF route when any vote exists, otherwise the
     synthetic route through the code head and the code-to-label map."""
-    x_row = np.asarray(x_row, dtype=np.float64).reshape(1, -1)
-    if votes_row is not None:
-        votes_row = np.asarray(votes_row, dtype=np.int64).reshape(-1)
-    if votes_row is not None and (votes_row != 0).any():
-        with ad.no_grad():
-            if bundle.config.mode == "vector":
-                weights = 1.0 / (1.0 + np.exp(-bundle.weight_vector.data))
-            else:
-                weights = bundle.lf_weights(bundle.features(Tensor(x_row))).data[0]
-        return weighted_softmax_posterior(votes_row, weights, bundle.config.class_count), "lf"
-    with ad.no_grad():
-        code = bundle.code_posterior(bundle.features(Tensor(x_row)))
-        probs = bundle.label_posterior_from_code(code).data[0]
-    return probs, "synthetic"
+    votes = None if votes_row is None else np.reshape(votes_row, (1, -1))
+    table, tags = pseudolabel_table(bundle, np.reshape(x_row, (1, -1)), votes)
+    return table.probs[0], tags[0]
 
 
 def pseudolabel_table(bundle: ModelBundle, x: np.ndarray, L=None) -> tuple[PosteriorTable, np.ndarray]:
@@ -533,7 +514,7 @@ def pseudolabel_table(bundle: ModelBundle, x: np.ndarray, L=None) -> tuple[Poste
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     C = bundle.config.class_count
-    votes = _as_votes(L) if L is not None else np.zeros((n, bundle.config.num_lfs), dtype=np.int64)
+    votes = _as_votes(L)[0] if L is not None else np.zeros((n, bundle.config.num_lfs), dtype=np.int64)
     if votes.shape[0] != n:
         raise TrainingError("label matrix rows must match features")
     covered = (votes != 0).any(axis=1)
@@ -544,10 +525,7 @@ def pseudolabel_table(bundle: ModelBundle, x: np.ndarray, L=None) -> tuple[Poste
             code = bundle.code_posterior(bundle.features(Tensor(x[~covered])))
             probs[~covered] = bundle.label_posterior_from_code(code).data
         if covered.any():
-            if bundle.config.mode == "vector":
-                weights = 1.0 / (1.0 + np.exp(-bundle.weight_vector.data))
-            else:
-                weights = bundle.lf_weights(bundle.features(Tensor(x[covered]))).data
+            weights = bundle.lf_weights(bundle.features(Tensor(x[covered]))).data
             probs[covered] = weighted_softmax_posterior(votes[covered], weights, C)
     return PosteriorTable(probs, covered), tags
 

@@ -11,8 +11,6 @@ from wsganlab.autodiff import (
     AutodiffError,
     NonFiniteGraphError,
     Tensor,
-    adam_init,
-    adam_step,
     backward,
     check_gradients,
     check_gradients_params,
@@ -213,21 +211,21 @@ def test_adam_single_step_matches_hand_update():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     g = np.array([0.1, -0.3])
     p.grad = g.copy()
-    state = adam_init([p])
-    adam_step([p], [p.grad], state, lr=0.01)
+    opt = Adam([p], lr=0.01)
+    opt.step()
     # bias-corrected first step: m_hat = g, v_hat = g^2  ->  update = lr * g/(|g|+eps)
     expected = np.array([1.0, -2.0]) - 0.01 * g / (np.abs(g) + 1e-8)
     assert np.allclose(p.data, expected, atol=1e-12)
-    assert state.step == 1
+    assert opt.steps == 1
 
 
 def test_adam_two_steps_tracked_moments():
     p = Tensor(np.array([0.5]), requires_grad=True)
-    state = adam_init([p])
+    opt = Adam([p], lr=0.05)
     vals = []
     for g in ([0.2], [-0.1]):
         p.grad = np.array(g)
-        adam_step([p], [p.grad], state, lr=0.05)
+        opt.step()
         vals.append(float(p.data[0]))
     # manual replication
     m = v = 0.0
@@ -244,18 +242,21 @@ def test_adam_two_steps_tracked_moments():
 def test_adam_none_gradient_means_zero_update():
     p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     before = p.data.copy()
-    state = adam_init([p])
-    adam_step([p], [None], state, lr=0.1)
+    opt = Adam([p], lr=0.1)
+    assert p.grad is None
+    opt.step()
     assert (p.data == before).all()
 
 
 def test_adam_rejects_bad_gradient():
     p = Tensor(np.array([1.0]), requires_grad=True)
-    state = adam_init([p])
+    opt = Adam([p], lr=0.1)
+    p.grad = np.array([1.0, 2.0])
     with pytest.raises(AutodiffError):
-        adam_step([p], [np.array([1.0, 2.0])], state, lr=0.1)
+        opt.step()
+    p.grad = np.array([np.nan])
     with pytest.raises(AutodiffError):
-        adam_step([p], [np.array([np.nan])], state, lr=0.1)
+        opt.step()
 
 
 def test_adam_wrapper_roundtrip():
