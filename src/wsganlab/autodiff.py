@@ -1,10 +1,12 @@
 """Reverse-mode automatic differentiation on dense float64 arrays.
 
-A small tape-based engine: every operation returns a new `Tensor` holding the
-result, the parents that require gradients, and a closure that routes the
-upstream gradient to those parents.  `backward` topologically sorts the graph
-once and replays the closures in reverse.  All arrays are float64; broadcasting
-follows numpy rules, with gradients summed back to the parent shape.
+A small tape-based engine.  Every operation returns a new `Tensor` that holds
+its result and one edge per input that requires a gradient: the input, and
+the vector-Jacobian product (VJP) that maps the result's gradient to that
+input's share.  `backward` topologically sorts the graph once, walks it in
+reverse, and adds each edge's VJP into its input's `.grad`; it is the only
+code that writes gradients.  All arrays are float64; broadcasting follows
+numpy rules, with gradients summed back to the input's shape.
 """
 from __future__ import annotations
 
@@ -70,14 +72,13 @@ class no_grad:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
+    __slots__ = ("data", "grad", "requires_grad", "_edges", "op")
 
-    def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None, op: str = "leaf"):
+    def __init__(self, data, requires_grad: bool = False, op: str = "leaf"):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = _parents
-        self._backward = _backward
+        self._edges = ()
         self.op = op
 
     @property
@@ -124,14 +125,6 @@ def _data(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def _needs(x) -> bool:
-    return isinstance(x, Tensor) and x.requires_grad
-
-
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    t.grad = g if t.grad is None else t.grad + g
-
-
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Sum `g` over broadcast dimensions so it matches `shape`."""
     if g.shape == shape:
@@ -145,10 +138,19 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _node(data, parents, bk, op) -> Tensor:
-    if _GRAD_ENABLED[0] and parents:
-        return Tensor(data, requires_grad=True, _parents=parents, _backward=bk, op=op)
-    return Tensor(data, op=op)
+def _node(data, op: str, *edges) -> Tensor:
+    """The result of `op`, with an (input, vjp) edge per input.
+
+    Only edges whose input requires a gradient are kept, and none under
+    `no_grad`; a node with no edges is a constant.
+    """
+    out = Tensor(data, op=op)
+    if _GRAD_ENABLED[0]:
+        kept = tuple([e for e in edges if isinstance(e[0], Tensor) and e[0].requires_grad])
+        if kept:
+            out.requires_grad = True
+            out._edges = kept
+    return out
 
 
 def detach(x: Tensor) -> Tensor:
@@ -158,95 +160,59 @@ def detach(x: Tensor) -> Tensor:
 
 def add(a, b):
     ad, bd = _data(a), _data(b)
-    na, nb = _needs(a), _needs(b)
-    parents = tuple(t for t, n in ((a, na), (b, nb)) if n)
-
-    def bk(g):
-        if na:
-            _accum(a, _unbroadcast(g, ad.shape))
-        if nb:
-            _accum(b, _unbroadcast(g, bd.shape))
-
-    return _node(ad + bd, parents, bk, "add")
+    return _node(
+        ad + bd,
+        "add",
+        (a, lambda g: _unbroadcast(g, ad.shape)),
+        (b, lambda g: _unbroadcast(g, bd.shape)),
+    )
 
 
 def sub(a, b):
     ad, bd = _data(a), _data(b)
-    na, nb = _needs(a), _needs(b)
-    parents = tuple(t for t, n in ((a, na), (b, nb)) if n)
-
-    def bk(g):
-        if na:
-            _accum(a, _unbroadcast(g, ad.shape))
-        if nb:
-            _accum(b, _unbroadcast(-g, bd.shape))
-
-    return _node(ad - bd, parents, bk, "sub")
+    return _node(
+        ad - bd,
+        "sub",
+        (a, lambda g: _unbroadcast(g, ad.shape)),
+        (b, lambda g: _unbroadcast(-g, bd.shape)),
+    )
 
 
 def mul(a, b):
     ad, bd = _data(a), _data(b)
-    na, nb = _needs(a), _needs(b)
-    parents = tuple(t for t, n in ((a, na), (b, nb)) if n)
-
-    def bk(g):
-        if na:
-            _accum(a, _unbroadcast(g * bd, ad.shape))
-        if nb:
-            _accum(b, _unbroadcast(g * ad, bd.shape))
-
-    return _node(ad * bd, parents, bk, "mul")
+    return _node(
+        ad * bd,
+        "mul",
+        (a, lambda g: _unbroadcast(g * bd, ad.shape)),
+        (b, lambda g: _unbroadcast(g * ad, bd.shape)),
+    )
 
 
 def scale(a, c: float):
     c = float(c)
-    na = _needs(a)
-
-    def bk(g):
-        _accum(a, g * c)
-
-    return _node(_data(a) * c, (a,) if na else (), bk, "scale")
+    return _node(_data(a) * c, "scale", (a, lambda g: g * c))
 
 
 def matmul(a, b):
     ad, bd = _data(a), _data(b)
-    na, nb = _needs(a), _needs(b)
-    parents = tuple(t for t, n in ((a, na), (b, nb)) if n)
-
-    def bk(g):
-        if na:
-            _accum(a, g @ bd.T)
-        if nb:
-            _accum(b, ad.T @ g)
-
-    return _node(ad @ bd, parents, bk, "matmul")
+    return _node(ad @ bd, "matmul", (a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g))
 
 
 def affine(x, w, b):
     """x @ w + b in one node (bias gradient sums over rows)."""
     xd, wd = _data(x), _data(w)
-    nx, nw, nb = _needs(x), _needs(w), _needs(b)
-    parents = tuple(t for t, n in ((x, nx), (w, nw), (b, nb)) if n)
-
-    def bk(g):
-        if nx:
-            _accum(x, g @ wd.T)
-        if nw:
-            _accum(w, xd.T @ g)
-        if nb:
-            _accum(b, g.sum(axis=0))
-
-    return _node(xd @ wd + _data(b), parents, bk, "affine")
+    return _node(
+        xd @ wd + _data(b),
+        "affine",
+        (x, lambda g: g @ wd.T),
+        (w, lambda g: xd.T @ g),
+        (b, lambda g: g.sum(axis=0)),
+    )
 
 
 def relu(x):
     xd = _data(x)
-    out = np.maximum(xd, 0.0)
-
-    def bk(g):
-        _accum(x, g * (xd > 0.0))
-
-    return _node(out, (x,) if _needs(x) else (), bk, "relu")
+    return _node(np.maximum(xd, 0.0), "relu", (x, lambda g: g * (xd > 0.0)))
 
 
 def sigmoid(x):
@@ -256,51 +222,29 @@ def sigmoid(x):
     out[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
     ex = np.exp(xd[~pos])
     out[~pos] = ex / (1.0 + ex)
-
-    def bk(g):
-        _accum(x, g * out * (1.0 - out))
-
-    return _node(out, (x,) if _needs(x) else (), bk, "sigmoid")
+    return _node(out, "sigmoid", (x, lambda g: g * out * (1.0 - out)))
 
 
 def tanh(x):
     out = np.tanh(_data(x))
-
-    def bk(g):
-        _accum(x, g * (1.0 - out * out))
-
-    return _node(out, (x,) if _needs(x) else (), bk, "tanh")
+    return _node(out, "tanh", (x, lambda g: g * (1.0 - out * out)))
 
 
 def exp(x):
     out = np.exp(_data(x))
-
-    def bk(g):
-        _accum(x, g * out)
-
-    return _node(out, (x,) if _needs(x) else (), bk, "exp")
+    return _node(out, "exp", (x, lambda g: g * out))
 
 
 def log(x):
     xd = _data(x)
-    out = np.log(xd)
-
-    def bk(g):
-        _accum(x, g / xd)
-
-    return _node(out, (x,) if _needs(x) else (), bk, "log")
+    return _node(np.log(xd), "log", (x, lambda g: g / xd))
 
 
 def clip(x, lo: float, hi: float):
     """Clamp to [lo, hi]; gradient passes through where lo <= x <= hi."""
     xd = _data(x)
-    out = np.clip(xd, lo, hi)
     inside = (xd >= lo) & (xd <= hi)
-
-    def bk(g):
-        _accum(x, g * inside)
-
-    return _node(out, (x,) if _needs(x) else (), bk, "clip")
+    return _node(np.clip(xd, lo, hi), "clip", (x, lambda g: g * inside))
 
 
 def softmax(x, axis: int = -1):
@@ -308,12 +252,7 @@ def softmax(x, axis: int = -1):
     z = xd - xd.max(axis=axis, keepdims=True)
     e = np.exp(z)
     out = e / e.sum(axis=axis, keepdims=True)
-
-    def bk(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        _accum(x, out * (g - dot))
-
-    return _node(out, (x,) if _needs(x) else (), bk, "softmax")
+    return _node(out, "softmax", (x, lambda g: out * (g - (g * out).sum(axis=axis, keepdims=True))))
 
 
 def log_softmax(x, axis: int = -1):
@@ -322,47 +261,30 @@ def log_softmax(x, axis: int = -1):
     lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
     out = z - lse
     sm = np.exp(out)
-
-    def bk(g):
-        _accum(x, g - sm * g.sum(axis=axis, keepdims=True))
-
-    return _node(out, (x,) if _needs(x) else (), bk, "log_softmax")
+    return _node(out, "log_softmax", (x, lambda g: g - sm * g.sum(axis=axis, keepdims=True)))
 
 
 def mean(x):
     xd = _data(x)
     n = xd.size
-
-    def bk(g):
-        _accum(x, np.full(xd.shape, float(g) / n))
-
-    return _node(xd.mean(), (x,) if _needs(x) else (), bk, "mean")
+    return _node(xd.mean(), "mean", (x, lambda g: np.full(xd.shape, float(g) / n)))
 
 
 def total(x):
     xd = _data(x)
-
-    def bk(g):
-        _accum(x, np.full(xd.shape, float(g)))
-
-    return _node(xd.sum(), (x,) if _needs(x) else (), bk, "total")
+    return _node(xd.sum(), "total", (x, lambda g: np.full(xd.shape, float(g))))
 
 
 def concat(tensors, axis: int = 1):
     datas = [_data(t) for t in tensors]
-    sizes = [d.shape[axis] for d in datas]
-    needs = [_needs(t) for t in tensors]
-    parents = tuple(t for t, n in zip(tensors, needs) if n)
-    offsets = np.cumsum([0] + sizes)
-
-    def bk(g):
-        for t, n, lo, hi in zip(tensors, needs, offsets[:-1], offsets[1:]):
-            if n:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                _accum(t, g[tuple(sl)])
-
-    return _node(np.concatenate(datas, axis=axis), parents, bk, "concat")
+    out = np.concatenate(datas, axis=axis)
+    offsets = np.cumsum([0] + [d.shape[axis] for d in datas])
+    edges = []
+    for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        sl = [slice(None)] * out.ndim
+        sl[axis] = slice(lo, hi)
+        edges.append((t, lambda g, sl=tuple(sl): g[sl]))
+    return _node(out, "concat", *edges)
 
 
 def linear_map(x, forward, adjoint):
@@ -371,11 +293,7 @@ def linear_map(x, forward, adjoint):
     `forward` may broadcast x; the adjoint's output is summed back to x's shape.
     """
     xd = _data(x)
-
-    def bk(g):
-        _accum(x, _unbroadcast(adjoint(g), xd.shape))
-
-    return _node(forward(xd), (x,) if _needs(x) else (), bk, "linear_map")
+    return _node(forward(xd), "linear_map", (x, lambda g: _unbroadcast(adjoint(g), xd.shape)))
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -391,7 +309,7 @@ def _toposort(root: Tensor) -> list[Tensor]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
+        for p, _vjp in node._edges:
             if id(p) not in seen:
                 stack.append((p, False))
     return order
@@ -410,8 +328,10 @@ def backward(loss: Tensor) -> None:
             raise NonFiniteGraphError(f"non-finite values in node op={node.op!r}")
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
-        if node._backward is not None:
-            node._backward(node.grad)
+        g = node.grad
+        for inp, vjp in node._edges:
+            d = vjp(g)
+            inp.grad = d if inp.grad is None else inp.grad + d
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,15 @@ def _metric_row(seed, model, table, ari_value, data: Dataset, gen_feats, config)
     return [seed, model] + [values[m] for m in config.metrics]
 
 
+def _seed_inputs(config: ExperimentConfig, seed: int) -> tuple:
+    """One run seed's dataset, LF specs and label matrix, each from its own stream."""
+    data = synth_dataset(dataclasses.replace(config.dataset, seed=derive_seed(seed, _STREAM_DATA)))
+    lf_rng = np.random.default_rng(derive_seed(seed, _STREAM_LF))
+    specs = config.lf_plan.sample(config.dataset.class_count, lf_rng)
+    L = generate_synthetic_lfs(data.labels, specs, config.dataset.class_count)
+    return data, specs, L
+
+
 def run_benchmark(config: ExperimentConfig, out_dir) -> RunManifest:
     """Train every model on every seed; write per-seed rows, the mean/std
     summary, training histories, checkpoints, and a manifest.
@@ -303,12 +312,8 @@ def run_benchmark(config: ExperimentConfig, out_dir) -> RunManifest:
     for seed in config.seeds:
         seed_dir = out_dir / f"seed_{seed}"
         seed_dir.mkdir(exist_ok=True)
-        data_spec = dataclasses.replace(config.dataset, seed=derive_seed(seed, _STREAM_DATA))
-        data = synth_dataset(data_spec)
+        data, _specs, L = _seed_inputs(config, seed)
         save_dataset(data, seed_dir / "dataset.csv")
-        lf_rng = np.random.default_rng(derive_seed(seed, _STREAM_LF))
-        specs = config.lf_plan.sample(config.dataset.class_count, lf_rng)
-        L = generate_synthetic_lfs(data.labels, specs, config.dataset.class_count)
         save_label_matrix(L, seed_dir / "lfs.csv")
         labels = np.asarray(data.labels)
         C = config.dataset.class_count
@@ -498,11 +503,7 @@ def run_augmentation(
             raise HarnessError(f"unknown augmentation mode {mode!r}")
     rows = []
     for seed in config.seeds:
-        data_spec = dataclasses.replace(config.dataset, seed=derive_seed(seed, _STREAM_DATA))
-        data = synth_dataset(data_spec)
-        lf_rng = np.random.default_rng(derive_seed(seed, _STREAM_LF))
-        specs = config.lf_plan.sample(config.dataset.class_count, lf_rng)
-        L = generate_synthetic_lfs(data.labels, specs, config.dataset.class_count)
+        data, specs, L = _seed_inputs(config, seed)
         test_spec = dataclasses.replace(config.dataset, seed=derive_seed(seed, _STREAM_TEST))
         test = synth_dataset(test_spec)
 

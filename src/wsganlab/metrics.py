@@ -2,10 +2,8 @@
 Gaussian-moment distance between sample sets, plus a small end classifier."""
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass, asdict
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +23,6 @@ __all__ = [
     "frechet_from_moments",
     "ClassifierConfig",
     "train_eval_classifier",
-    "EvalReport",
 ]
 
 
@@ -259,26 +256,3 @@ def train_eval_classifier(
     preds = np.argmax(logits, axis=1) + 1
     return float((preds == ey).mean())
 
-
-@dataclass
-class EvalReport:
-    """One model's metric row; NaN marks metrics a model does not define."""
-
-    model: str
-    seed: int
-    covered_accuracy: float
-    weighted_f1: float
-    weighted_map: float
-    ari: float
-    frechet: float
-    covered_fraction: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def save_json(self, path) -> Path:
-        path = Path(path)
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-        return path

@@ -403,18 +403,18 @@ def hellinger_tv_entry(num_pairs: int = 1000, max_support: int = 32, seed: int =
         tv = tv_distance(a, b)
         dsq = hellinger_squared(a, b)
         h = math.sqrt(dsq)
+        # the squared reading's second inequality is also the chain's upper end
+        upper_violated = tv > math.sqrt(dsq) * math.sqrt(max(1.0 - dsq / 4.0, 0.0)) + tol
+        counts["squared_second"] += upper_violated
+        counts["chain_upper"] += upper_violated
         if dsq > math.sqrt(2.0 * tv) + tol:
             counts["squared_first"] += 1
-        if tv > math.sqrt(dsq) * math.sqrt(max(1.0 - dsq / 4.0, 0.0)) + tol:
-            counts["squared_second"] += 1
         if h > math.sqrt(2.0 * tv) + tol:
             counts["unsquared_first"] += 1
         if tv > math.sqrt(h) * math.sqrt(max(1.0 - h / 4.0, 0.0)) + tol:
             counts["unsquared_second"] += 1
         if dsq / 2.0 > tv + tol:
             counts["chain_lower"] += 1
-        if tv > math.sqrt(dsq) * math.sqrt(max(1.0 - dsq / 4.0, 0.0)) + tol:
-            counts["chain_upper"] += 1
 
     entry = TheoryEntry(
         kind="hellinger_tv",

@@ -131,6 +131,35 @@ def test_concat_splits_gradient():
     assert np.allclose(b.grad, 2 * b.data)
 
 
+@pytest.mark.parametrize("axis", [0, -1])
+def test_concat_mixed_constant_gets_no_edge(axis):
+    a = Tensor(rand(3, 2), requires_grad=True)
+    c = rand(3, 2)  # a plain array among tracked inputs
+    b = Tensor(rand(3, 2), requires_grad=True)
+    out = ad.concat([a, c, b], axis=axis)
+    assert [t for t, _vjp in out._edges] == [a, b]
+    weights = rand(*out.shape)
+    backward(ad.total(ad.mul(out, weights)))
+    parts = np.split(weights, 3, axis=axis)
+    assert np.array_equal(a.grad, parts[0])
+    assert np.array_equal(b.grad, parts[2])
+
+
+def test_linear_map_broadcast_forward_gradient():
+    # shared (m,) weights broadcast against an (n, m) mask: the adjoint returns
+    # (n, m), which the engine must sum back to (m,)
+    mask = RNG.random((5, 3)) < 0.6
+    targets = rand(5, 3)
+
+    def fn(w):
+        y = ad.linear_map(w, lambda wd: wd * mask, lambda g: g * mask)
+        return ad.total(ad.mul(ad.tanh(y), targets))
+
+    report = check_gradients(fn, rand(3))
+    assert report.analytic.shape == (3,)
+    assert report.ok(1e-6), report.max_rel_error
+
+
 def test_softmax_cross_entropy_composite_gradient():
     targets = np.eye(4)[[0, 2, 1, 3, 0]]
 
@@ -170,7 +199,7 @@ def test_no_grad_builds_no_graph():
     x = Tensor(rand(2, 2), requires_grad=True)
     with ad.no_grad():
         y = ad.mul(x, x)
-    assert y._parents == ()
+    assert y._edges == ()
     backward(ad.total(y))  # nothing reaches x through the severed graph
     assert x.grad is None
 

@@ -5,7 +5,6 @@ average precision with explicit threshold enumeration, and the Gaussian
 Fréchet distance with closed forms for diagonal covariances.
 """
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ import pytest
 from wsganlab.labelmodel import PosteriorTable
 from wsganlab.metrics import (
     ClassifierConfig,
-    EvalReport,
     MetricError,
     MetricUndefinedError,
     adjusted_rand_index,
@@ -228,10 +226,3 @@ def test_classifier_warns_on_missing_class():
     with pytest.warns(RuntimeWarning):
         train_eval_classifier(x, np.array([1, 1, 1, 1]), x, np.array([1, 1, 2, 2]), ClassifierConfig(epochs=1))
 
-
-def test_eval_report_json(tmp_path):
-    rep = EvalReport("m", 1, 0.9, 0.8, 0.7, 0.6, 0.5, 1.0)
-    path = rep.save_json(tmp_path / "r.json")
-    with open(path) as fh:
-        data = json.load(fh)
-    assert data["model"] == "m" and data["covered_accuracy"] == 0.9
