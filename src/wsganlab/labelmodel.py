@@ -88,41 +88,68 @@ def _as_votes(L, class_count: int | None = None) -> tuple[np.ndarray, int | None
 
 # ---------------------------------------------------------------------------
 # the vote encoding: every label model turns votes into class scores here
+#
+# A label matrix is mostly abstains, so the encoding lists only the votes cast,
+# once per fit, in row-major order.  Each cast vote keeps its LF j, its slot
+# i*m + j in the (n, m) matrix and its cell i*C + vote - 1 in the (n, C) score
+# table.  Row-major order means every cell, and every LF, sums its votes in
+# the order a dense pass over the matrix would.
 
 
-def _vote_index(votes: np.ndarray, class_count: int | None) -> np.ndarray:
-    """Flat position of vote (i, j) in an (n, C+1) table: i*(C+1) + vote.
+@dataclass(frozen=True)
+class _CastVotes:
+    lf: np.ndarray
+    slot: np.ndarray
+    cell: np.ndarray
+    shape: tuple[int, int]
+    class_count: int
 
-    Column 0 collects abstains.  A vote outside 0..C would land in another
-    row's cell, so the range is checked here, where the index is built.
+
+def _vote_index(votes: np.ndarray, class_count: int | None) -> _CastVotes:
+    """The non-abstain votes of an (n, m) matrix, in row-major order.
+
+    A vote outside 0..C would land in another row's cell, so the range is
+    checked here, where the list is built.
     """
     if class_count is None:
         raise WeakSupError("class_count required for a raw vote array")
-    if votes.size and (votes.min() < 0 or votes.max() > class_count):
+    n, m = votes.shape
+    flat = votes.ravel()
+    slot = np.flatnonzero(flat)
+    value = flat[slot]
+    if value.size and (value.min() < 0 or value.max() > class_count):
         raise WeakSupError(f"votes outside 0..{class_count}")
-    return votes + (class_count + 1) * np.arange(votes.shape[0])[:, None]
+    row, lf = np.divmod(slot, m)
+    return _CastVotes(lf, slot, row * class_count + value - 1, (n, m), class_count)
 
 
-def _scatter(index: np.ndarray, weights, class_count: int) -> np.ndarray:
+def _scatter(cast: _CastVotes, weights) -> np.ndarray:
     """(n, C) class scores: each row's vote weights summed by the class voted.
 
     `weights` is (n, m), a shared (m,), or None to count votes.
     """
-    n = index.shape[0]
+    n, m = cast.shape
     if weights is not None:
-        weights = np.broadcast_to(weights, index.shape).ravel()
-    table = np.bincount(index.ravel(), weights, minlength=n * (class_count + 1))
-    return table.reshape(n, class_count + 1)[:, 1:]
+        weights = np.asarray(weights)
+        if weights.shape == (m,):
+            weights = weights[cast.lf]
+        else:
+            weights = np.broadcast_to(weights, cast.shape).ravel()[cast.slot]
+    table = np.bincount(cast.cell, weights, minlength=n * cast.class_count)
+    return table.reshape(n, cast.class_count)
 
 
-def _gather(index: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Adjoint of `_scatter`: entry (i, j) is scores[i, vote_ij - 1], 0 for an abstain."""
-    return np.pad(scores, ((0, 0), (1, 0))).ravel()[index]
+def _gather(cast: _CastVotes, scores: np.ndarray) -> np.ndarray:
+    """Adjoint of `_scatter`: one value per cast vote, scores[i, vote_ij - 1]."""
+    return scores.ravel()[cast.cell]
 
 
 def _softmax_rows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise softmax of (n, C) scores and each row's log-normalizer (n,)."""
-    top = scores.max(axis=1, keepdims=True)
+    # a column-by-column maximum is exact, and faster than max(axis=1) on few columns
+    top = scores[:, :1].copy()
+    for k in range(1, scores.shape[1]):
+        np.maximum(top, scores[:, k : k + 1], out=top)
     e = np.exp(scores - top)
     norm = e.sum(axis=1, keepdims=True)
     return e / norm, (top + np.log(norm))[:, 0]
@@ -283,7 +310,7 @@ def majority_vote(L, class_count: int | None = None) -> PosteriorTable:
     Rows with no votes get the uniform distribution and covered=False.
     """
     votes, C = _as_votes(L, class_count)
-    counts = _scatter(_vote_index(votes, C), None, C)
+    counts = _scatter(_vote_index(votes, C), None)
     covered = counts.sum(axis=1) > 0
     probs = np.full((votes.shape[0], C), 1.0 / C)
     if covered.any():
@@ -306,7 +333,7 @@ def weighted_softmax_posterior(votes, weights, class_count: int) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape not in (v.shape, v.shape[1:]):
         raise WeakSupError(f"weights shape {w.shape} incompatible with votes {v.shape}")
-    probs, _ = _softmax_rows(_scatter(_vote_index(v, class_count), w, class_count))
+    probs, _ = _softmax_rows(_scatter(_vote_index(v, class_count), w))
     return probs[0] if single else probs
 
 
@@ -358,8 +385,8 @@ def dawid_skene_fit(
     n, m = votes.shape
     if n == 0:
         raise WeakSupError("empty label matrix")
-    index = _vote_index(votes, C)
-    vote_counts = np.count_nonzero(votes, axis=0)
+    cast = _vote_index(votes, C)
+    vote_counts = np.bincount(cast.lf, minlength=m)
     covered = votes.any(axis=1)
 
     acc = np.clip(np.full(m, float(init_accuracy)), 1e-4, 1.0 - 1e-4)
@@ -376,7 +403,7 @@ def dawid_skene_fit(
         # log a_j - log err_j for each vote that equals k.  The first sum does
         # not depend on k, so it cancels in the posterior and enters the
         # log-likelihood summed over rows: sum_j vote_counts_j * log err_j.
-        joint = _scatter(index, log_acc - log_err, C) + np.log(prior)[None, :]
+        joint = _scatter(cast, log_acc - log_err) + np.log(prior)[None, :]
         posteriors, log_norm = _softmax_rows(joint)
         trace.append(float(vote_counts @ log_err + log_norm.sum()))
 
@@ -385,7 +412,7 @@ def dawid_skene_fit(
             break
 
         # M-step
-        agree_weight = _gather(index, posteriors).sum(axis=0)
+        agree_weight = np.bincount(cast.lf, _gather(cast, posteriors), minlength=m)
         with np.errstate(invalid="ignore", divide="ignore"):
             new_acc = np.where(vote_counts > 0, agree_weight / np.maximum(vote_counts, 1), acc)
         acc = np.clip(new_acc, 1e-4, 1.0 - 1e-4)
@@ -423,8 +450,7 @@ def save_label_matrix(lm: LabelMatrix, csv_path) -> tuple[Path, Path]:
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"lf_{j}" for j in range(lm.num_lfs)])
-        for row in lm.votes:
-            writer.writerow([int(v) for v in row])
+        writer.writerows(lm.votes.tolist())
     sidecar = {
         "format_version": 1,
         "class_count": lm.class_count,
@@ -438,6 +464,26 @@ def save_label_matrix(lm: LabelMatrix, csv_path) -> tuple[Path, Path]:
     return csv_path, json_path
 
 
+def _read_votes(fh, num_lfs: int, csv_path: Path) -> np.ndarray:
+    """The (rows, num_lfs) integer votes after the header of an open CSV."""
+    if not num_lfs:  # rows without LFs are blank lines, which loadtxt skips
+        return np.zeros((sum(1 for _ in fh), 0), dtype=np.int64)
+    start = fh.tell()
+    if not fh.read(1):  # header only: loadtxt would warn "input contained no data"
+        return np.zeros((0, num_lfs), dtype=np.int64)
+    fh.seek(start)
+    try:
+        votes = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+    except ValueError as exc:
+        raise WeakSupError(f"malformed label-matrix CSV {csv_path}: {exc}") from exc
+    if votes.shape[1] != num_lfs:
+        raise WeakSupError(
+            f"malformed label-matrix CSV {csv_path}: rows have {votes.shape[1]} "
+            f"columns, the header {num_lfs}"
+        )
+    return votes
+
+
 def load_label_matrix(csv_path) -> LabelMatrix:
     """Inverse of save_label_matrix; validates shape against the sidecar."""
     csv_path = Path(csv_path)
@@ -445,12 +491,10 @@ def load_label_matrix(csv_path) -> LabelMatrix:
     with open(json_path) as fh:
         sidecar = json.load(fh)
     with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[int(v) for v in row] for row in reader]
-    votes = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(header))
-    if header != [f"lf_{j}" for j in range(len(header))]:
-        raise WeakSupError(f"unexpected CSV header {header!r}")
+        header = next(csv.reader([fh.readline()]))
+        if header != [f"lf_{j}" for j in range(len(header))]:
+            raise WeakSupError(f"unexpected CSV header {header!r}")
+        votes = _read_votes(fh, len(header), csv_path)
     if votes.shape != (sidecar["num_samples"], sidecar["num_lfs"]):
         raise WeakSupError(
             f"CSV shape {votes.shape} disagrees with sidecar "

@@ -278,9 +278,14 @@ def weighted_posterior_tensor(votes: np.ndarray, weights: Tensor, class_count: i
     class scores are one linear node: the label models' vote scatter, whose
     adjoint gathers each vote's class gradient back to its weight.
     """
-    index = _vote_index(np.asarray(votes, dtype=np.int64), class_count)
-    scores = ad.linear_map(weights, lambda w: _scatter(index, w, class_count), lambda g: _gather(index, g))
-    return ad.softmax(scores)
+    cast = _vote_index(np.asarray(votes, dtype=np.int64), class_count)
+
+    def adjoint(g: np.ndarray) -> np.ndarray:
+        grad = np.zeros(cast.shape[0] * cast.shape[1])
+        grad[cast.slot] = _gather(cast, g)
+        return grad.reshape(cast.shape)
+
+    return ad.softmax(ad.linear_map(weights, lambda w: _scatter(cast, w), adjoint))
 
 
 def alignment_loss(

@@ -5,6 +5,7 @@ implementation (explicit per-row products in probability space via logs) and
 compares trajectories, rather than only endpoints.
 """
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -320,3 +321,42 @@ def test_load_rejects_inconsistent_sidecar(tmp_path):
     csv_path.write_text("\n".join(lines[:-5]) + "\n")  # drop rows
     with pytest.raises(WeakSupError):
         load_label_matrix(csv_path)
+
+
+def test_label_matrix_csv_bytes_and_edge_shapes(tmp_path):
+    L = LabelMatrix(np.array([[0, 12, 3], [11, 0, 0]]), 12)
+    csv_path, _ = save_label_matrix(L, tmp_path / "lm.csv")
+    assert csv_path.read_bytes() == b"lf_0,lf_1,lf_2\r\n0,12,3\r\n11,0,0\r\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for votes in (np.array([[2], [0], [1]]), np.zeros((0, 3), np.int64), np.zeros((3, 0), np.int64)):
+            back = load_label_matrix(save_label_matrix(LabelMatrix(votes, 2), tmp_path / "edge.csv")[0])
+            assert back.votes.shape == votes.shape and (back.votes == votes).all()
+
+
+@pytest.mark.parametrize("bad_row", ["1,0,2", "1,x"], ids=["ragged", "non-integer"])
+def test_load_rejects_malformed_csv(tmp_path, bad_row):
+    L = LabelMatrix(np.array([[1, 0], [0, 2], [2, 2]]), 2)
+    csv_path, _ = save_label_matrix(L, tmp_path / "lm.csv")
+    lines = csv_path.read_text().splitlines()
+    lines[2] = bad_row
+    csv_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(WeakSupError, match="lm.csv"):
+        load_label_matrix(csv_path)
+
+
+def test_dawid_skene_memory_scales_with_votes():
+    # the encoding lists only the votes cast, so a fit allocates no (n, m)
+    # float temporaries: its traced peak stays under 1.5x the int64 votes
+    n, m, C = 20_000, 40, 8
+    rng = np.random.default_rng(0)
+    votes = np.where(rng.random((n, m)) < 0.125, rng.integers(1, C + 1, size=(n, m)), 0)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            dawid_skene_fit(votes, C, max_iters=5, tol=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * votes.nbytes, f"peak {peak / votes.nbytes:.2f}x votes.nbytes"

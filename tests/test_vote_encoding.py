@@ -50,22 +50,41 @@ def one_lf_two_classes():
     return votes, np.array([0.75]), np.arange(8.0).reshape(4, 2), 2
 
 
+def reference_cast(votes, class_count):
+    """(lf, slot, cell) of every non-abstain vote, row by row."""
+    n, m = votes.shape
+    cast = [
+        (j, i * m + j, i * class_count + votes[i, j] - 1)
+        for i in range(n)
+        for j in range(m)
+        if votes[i, j]
+    ]
+    return np.array(cast, dtype=np.int64).reshape(-1, 3).T
+
+
 @settings(max_examples=200, deadline=None)
 @given(vote_problems())
 @example(one_lf_two_classes())
 def test_scatter_matches_reference_and_gather_is_its_adjoint(problem):
     votes, weights, grads, C = problem
-    index = _vote_index(votes, C)
-    scores = _scatter(index, weights, C)
-    assert np.allclose(scores, reference_scores(votes, weights, C), rtol=0, atol=1e-12)
-    counts = _scatter(index, None, C)
+    cast = _vote_index(votes, C)
+    lf, slot, cell = reference_cast(votes, C)
+    assert (cast.lf == lf).all() and (cast.slot == slot).all() and (cast.cell == cell).all()
+    scores = _scatter(cast, weights)
+    # exact: each cell sums its weights in ascending j, as the reference does
+    assert (scores == reference_scores(votes, weights, C)).all()
+    counts = _scatter(cast, None)
     assert (counts == reference_scores(votes, 1.0, C)).all()
     assert not scores[(votes == 0).all(axis=1)].any()
-    # <scatter(w), g> = <w, gather(g)>, with a shared (m,) w summed over rows
-    gathered = _gather(index, grads)
-    assert gathered.shape == votes.shape and not gathered[votes == 0].any()
-    back = gathered.sum(axis=0) if weights.ndim == 1 else gathered
-    size = np.abs(np.broadcast_to(weights, votes.shape) * gathered).sum()
+    # <scatter(w), g> = <w, gather(g)>: one gathered value per cast vote, put
+    # back at its (n, m) slot and, for a shared (m,) w, summed over rows
+    gathered = _gather(cast, grads)
+    assert gathered.shape == slot.shape
+    dense = np.zeros(votes.size)
+    dense[slot] = gathered
+    dense = dense.reshape(votes.shape)
+    back = dense.sum(axis=0) if weights.ndim == 1 else dense
+    size = np.abs(np.broadcast_to(weights, votes.shape) * dense).sum()
     assert abs(np.vdot(scores, grads) - np.vdot(weights, back)) <= 1e-12 * max(1.0, size)
 
 
