@@ -1,6 +1,6 @@
 """wsganlab — a desk-scale lab for weakly supervised GANs.
 
-Numpy/scipy only: a tiny reverse-mode autodiff engine, programmatic weak
+Numpy only: a tiny reverse-mode autodiff engine, programmatic weak
 supervision (label matrices, majority vote, Dawid-Skene, weighted-softmax
 label models), an InfoGAN-style generative model whose latent code is aligned
 with labeling-function output, evaluation metrics, numerical checks for the

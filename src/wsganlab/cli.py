@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import DatasetSpec, load_dataset, save_dataset, synth_dataset
+from .data import DataError, DatasetSpec, load_dataset, save_dataset, synth_dataset
 from .harness import (
     AUG_MODES,
     HarnessError,
@@ -285,7 +285,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (WeakSupError, TrainingError, TheoryError, HarnessError, FileNotFoundError, ValueError) as exc:
+    except (DataError, WeakSupError, TrainingError, TheoryError, HarnessError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

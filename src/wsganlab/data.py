@@ -121,10 +121,16 @@ def load_dataset(csv_path) -> Dataset:
         rows = list(reader)
     expected = [f"x{i}" for i in range(spec.feature_dim)] + ["label"]
     if header != expected:
-        raise DataError(f"header {header} does not match sidecar spec (want {expected})")
+        raise DataError(f"dataset CSV {csv_path}: header {header} does not match sidecar spec (want {expected})")
     if len(rows) != spec.num_samples:
-        raise DataError(f"{len(rows)} rows but sidecar spec says {spec.num_samples}")
+        raise DataError(f"dataset CSV {csv_path}: {len(rows)} rows but sidecar spec says {spec.num_samples}")
     d = spec.feature_dim
-    features = np.array([[float(v) for v in row[:d]] for row in rows])
-    labels = np.array([int(row[d]) for row in rows], dtype=np.int64)
+    for i, row in enumerate(rows):
+        if len(row) != d + 1:
+            raise DataError(f"malformed dataset CSV {csv_path}: row {i} has {len(row)} cells, the header {d + 1}")
+    try:
+        features = np.array([[float(v) for v in row[:d]] for row in rows])
+        labels = np.array([int(row[d]) for row in rows], dtype=np.int64)
+    except ValueError as exc:
+        raise DataError(f"malformed dataset CSV {csv_path}: {exc}") from exc
     return Dataset(features=features, labels=labels, spec=spec)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import Dataset, DatasetSpec, save_dataset, synth_dataset
+from .data import Dataset, DatasetSpec, nearest_prototype_labels, save_dataset, synth_dataset
 from .labelmodel import (
     LfSpec,
     crisp_labels,
@@ -552,8 +552,6 @@ def make_lf_applicator(specs: list, data_spec: DatasetSpec):
     conditional rates reproduce the LF's marginal coverage and accuracy on a
     class-balanced population (up to the caps).
     """
-    from .data import nearest_prototype_labels
-
     C = data_spec.class_count
 
     def apply(features: np.ndarray, rng: np.random.Generator) -> np.ndarray:

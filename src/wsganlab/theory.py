@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import binom
 
 __all__ = [
     "TheoryError",
@@ -55,10 +54,6 @@ class CheckResult:
     lhs: float
     rhs: float
     passed: bool
-
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
 
 
 @dataclass
@@ -148,13 +143,21 @@ def mv_error_bound(m: int, alpha: float) -> float:
 
 
 def mv_error_exact(m: int, eps_lambda: float) -> float:
-    """Exact MV error P(Bin(m, eps) >= ceil(m/2)); ties count as errors."""
+    """Exact MV error P(Bin(m, eps) >= ceil(m/2)); ties count as errors.
+
+    Terms are formed in the log domain, where eps**k cannot underflow nor C(m, k) overflow.
+    """
     if m < 1:
         raise TheoryError("m must be >= 1")
     if not 0.0 <= eps_lambda < 0.5:
         raise TheoryError("eps_lambda must lie in [0, 0.5)")
-    threshold = math.ceil(m / 2)
-    return float(binom.sf(threshold - 1, m, eps_lambda))
+    if eps_lambda == 0.0:
+        return 0.0
+    log_eps, log_keep = math.log(eps_lambda), math.log1p(-eps_lambda)
+    return math.fsum(
+        math.exp(math.log(math.comb(m, k)) + k * log_eps + (m - k) * log_keep)
+        for k in range(math.ceil(m / 2), m + 1)
+    )
 
 
 def simulate_mv_error(m: int, eps_lambda: float, trials: int, seed: int = 0) -> tuple[float, float]:
@@ -313,9 +316,12 @@ def verify_rcgan_tv_chain(
         kind="rcgan_tv_chain",
         inputs={"eps": eps, "support_size": P.support_size, "with_mv": with_mv},
     )
+
+    def tv_through(channel: NoisyChannel) -> float:
+        return tv_distance(apply_channel(P, channel), apply_channel(Q, channel))
+
     tv_clean = tv_distance(P, Q)
-    channel = NoisyChannel(eps)
-    tv_noisy = tv_distance(apply_channel(P, channel), apply_channel(Q, channel))
+    tv_noisy = tv_through(NoisyChannel(eps))
     mult = channel_inf_norm_inverse(eps)
     entry.quantities.update(tv_clean=tv_clean, tv_noisy=tv_noisy, multiplier=mult)
     entry.check("data_processing: tv_noisy <= tv_clean", tv_noisy, tv_clean, tol)
@@ -330,14 +336,13 @@ def verify_rcgan_tv_chain(
                 "MV channel singular (ties-as-errors can exceed the single-voter error)"
             )
         hoeff = mv_error_bound(m, 0.5 - eps_lambda)
-        mv_channel = NoisyChannel(eps_mv)
-        tv_mv = tv_distance(apply_channel(P, mv_channel), apply_channel(Q, mv_channel))
+        tv_mv = tv_through(NoisyChannel(eps_mv))
         mult_mv = channel_inf_norm_inverse(eps_mv)
         entry.quantities.update(eps_mv=eps_mv, hoeffding_bound=hoeff, tv_mv_noisy=tv_mv, mv_multiplier=mult_mv)
         entry.check("mv data_processing: tv_mv <= tv_clean", tv_mv, tv_clean, tol)
         entry.check("mv inversion: tv_clean <= mv_mult * tv_mv", tv_clean, mult_mv * tv_mv, tol)
         if hoeff < 0.5:
-            mult_hoeff = 1.0 / (1.0 - 2.0 * hoeff)
+            mult_hoeff = channel_inf_norm_inverse(hoeff)
             entry.quantities["hoeffding_multiplier"] = mult_hoeff
             entry.check("exact multiplier <= Hoeffding multiplier", mult_mv, mult_hoeff, tol)
             if m >= min_lfs(eps_lambda):
@@ -356,7 +361,7 @@ def mv_bound_entry(m: int, alpha: float, trials: int = 100_000, seed: int = 0) -
     eps_lambda = 0.5 - alpha
     entry = TheoryEntry(kind="mv_bound", inputs={"m": m, "alpha": alpha, "trials": trials, "seed": seed})
     bound = mv_error_bound(m, alpha)
-    exact = mv_error_exact(m, eps_lambda) if eps_lambda > 0 else 0.0
+    exact = mv_error_exact(m, eps_lambda)
     estimate, stderr = simulate_mv_error(m, eps_lambda, trials, seed)
     entry.quantities.update(exact=exact, bound=bound, monte_carlo=estimate, stderr=stderr)
     entry.check("exact <= Hoeffding bound", exact, bound, 1e-15)
@@ -423,20 +428,12 @@ def hellinger_tv_entry(num_pairs: int = 1000, max_support: int = 32, seed: int =
     )
     entry.check("chain lower (Dsq/2 <= tv) violations == 0", counts["chain_lower"], 0)
     entry.check("chain upper (tv <= sqrt(Dsq)sqrt(1-Dsq/4)) violations == 0", counts["chain_upper"], 0)
-    squared_ok = counts["squared_first"] == 0 and counts["squared_second"] == 0
-    unsquared_ok = counts["unsquared_first"] == 0 and counts["unsquared_second"] == 0
     verdicts = []
-    if squared_ok:
-        verdicts.append("squared reading holds on every sampled pair")
-    else:
+    for reading in ("squared", "unsquared"):
+        violated = counts[f"{reading}_first"] + counts[f"{reading}_second"]
         verdicts.append(
-            f"squared reading violated on {counts['squared_first'] + counts['squared_second']} pairs"
-        )
-    if unsquared_ok:
-        verdicts.append("unsquared reading holds on every sampled pair")
-    else:
-        verdicts.append(
-            f"unsquared reading violated on {counts['unsquared_first'] + counts['unsquared_second']} pairs"
+            f"{reading} reading violated on {violated} pairs" if violated
+            else f"{reading} reading holds on every sampled pair"
         )
     entry.notes = "; ".join(verdicts)
     return entry
@@ -498,8 +495,6 @@ def generalization_bound_entry(inputs: TheoryInputs = TheoryInputs()) -> TheoryE
     entry = TheoryEntry(kind="generalization_bound", inputs=asdict(inputs))
     value = generalization_bound(inputs)
     entry.quantities["bound"] = value
-    from dataclasses import replace
-
     entry.check("monotone in n1", generalization_bound(replace(inputs, n1=2 * inputs.n1)), value, 1e-15)
     entry.check("monotone in n2", generalization_bound(replace(inputs, n2=2 * inputs.n2)), value, 1e-15)
     entry.check("monotone in m", generalization_bound(replace(inputs, m=inputs.m + 1)), value, 1e-15)

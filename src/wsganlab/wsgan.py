@@ -293,7 +293,6 @@ def alignment_loss(
     x_batch: np.ndarray,
     votes_batch: np.ndarray,
     epoch: int,
-    config: TrainingConfig | None = None,
 ) -> tuple[Tensor, dict]:
     """Two interface cross-entropies plus the decaying weight penalty.
 
@@ -303,7 +302,6 @@ def alignment_loss(
     penalty (C / (epoch*decay + 1)) * ||theta - 0.5||^2 is summed over the m
     weights and averaged over batch rows.
     """
-    config = config or bundle.config
     if epoch < 0:
         raise TrainingError("epoch must be >= 0")
     x_batch = np.asarray(x_batch, dtype=np.float64)
@@ -313,7 +311,7 @@ def alignment_loss(
         raise TrainingError("empty alignment batch; caller must skip the step")
     if not (votes_batch != 0).any(axis=1).all():
         raise TrainingError("alignment batch contains uncovered rows")
-    C = config.class_count
+    C = bundle.config.class_count
 
     feats = bundle.features(Tensor(x_batch))
     code_probs = bundle.code_posterior(feats)
@@ -324,7 +322,7 @@ def alignment_loss(
     ce_code_side = cross_entropy(bundle.label_posterior_from_code(code_probs), ad.detach(label_post))
     ce_label_side = cross_entropy(bundle.code_posterior_from_label(label_post), ad.detach(code_probs))
 
-    multiplier = C / (epoch * config.penalty_decay + 1.0)
+    multiplier = C / (epoch * bundle.config.penalty_decay + 1.0)
     dev = ad.sub(weights, 0.5)
     penalty = ad.scale(ad.total(ad.mul(dev, dev)), multiplier / per_row)
 
@@ -462,7 +460,7 @@ def train(dataset, L, config: TrainingConfig) -> tuple[ModelBundle, TrainingHist
             if align_active:
                 cov = idx[covered_mask[idx]]
                 if cov.size:
-                    raw_align, parts = alignment_loss(bundle, x[cov], votes[cov], epoch, config)
+                    raw_align, parts = alignment_loss(bundle, x[cov], votes[cov], epoch)
                     _check_finite(float(raw_align.data), "align_loss", epoch)
                     align_sum += float(raw_align.data)
                     pen_sum += parts["penalty"]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from wsganlab.data import (
+    DataError,
     Dataset,
     DatasetSpec,
     class_prototypes,
@@ -91,4 +92,15 @@ def test_load_rejects_bad_header(tmp_path):
     lines[0] = "a,b,c"
     csv_path.write_text("\n".join(lines) + "\n")
     with pytest.raises(Exception):
+        load_dataset(csv_path)
+
+
+@pytest.mark.parametrize("row", ["1.0", "1.0,2.0", "1.0,2.0,3,4", "abc,2.0,3", "1.0,2.0,x"])
+def test_load_rejects_malformed_row_naming_path(tmp_path, row):
+    ds = synth_dataset(DatasetSpec(num_samples=10, seed=1))
+    csv_path, _ = save_dataset(ds, tmp_path / "d.csv")
+    lines = csv_path.read_text().splitlines()
+    lines[4] = row
+    csv_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="d.csv"):
         load_dataset(csv_path)

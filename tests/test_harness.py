@@ -379,3 +379,23 @@ def test_cli_errors_return_one(tmp_path):
     assert run_cli("report", "--dir", tmp_path / "nope") == 1
     with pytest.raises(SystemExit):
         run_cli("no-such-command")
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda lines: ["a,b,c"] + lines[1:],
+        lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:],
+        lambda lines: lines[:2] + ["abc," + lines[2].split(",", 1)[1]] + lines[3:],
+    ],
+    ids=["bad-header", "short-row", "non-numeric"],
+)
+def test_cli_dataset_errors_return_one(tmp_path, capsys, corrupt):
+    out = tmp_path / "runs"
+    assert run_cli("synth-data", "--out", out, "--classes", "3", "--samples", "20", "--seed", "4") == 0
+    csv_path = out / "dataset.csv"
+    csv_path.write_text("\n".join(corrupt(csv_path.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    assert run_cli("synth-lfs", "--out", out, "--dataset", csv_path, "--num-lfs", "4", "--seed", "4") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(csv_path) in err

@@ -2,7 +2,9 @@
 
 The Hoeffding bound and the generalization bound are recomputed with mpmath
 at 50 digits; the exact majority-vote error with math.comb; the channel
-inverse norm with an explicit 2x2 matrix inverse.
+inverse norm with an explicit 2x2 matrix inverse.  The exact majority-vote
+error is also checked against a 50-digit mpmath tail, up to the m near 3500
+that min_lfs reaches as eps_lambda nears 0.49.
 """
 import math
 
@@ -10,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from wsganlab.harness import TheoryGridConfig
 from wsganlab.theory import (
     FiniteJoint,
     NoisyChannel,
@@ -65,6 +68,31 @@ def test_mv_error_exact_against_comb_sum(m, eps):
     # ties count as errors: threshold ceil(m/2) covers the even-m split
     k = math.ceil(m / 2)
     assert abs(mv_error_exact(m, eps) - comb_tail(m, k, eps)) < 1e-12
+
+
+def mpmath_tail(m, k, p):
+    """P(Bin(m, p) >= k) at 50 digits."""
+    p = mpmath.mpf(p)
+    return sum(mpmath.binomial(m, i) * p**i * (1 - p) ** (m - i) for i in range(k, m + 1))
+
+
+_GRID = TheoryGridConfig()
+_GRID_POINTS = sorted(
+    {(m, 0.5 - alpha) for m in _GRID.m_values for alpha in _GRID.alpha_values}
+    | {(min_lfs(eps), eps) for eps in _GRID.eps_lambda_values}
+)
+
+
+@pytest.mark.parametrize("m,eps", _GRID_POINTS + [(918, 0.1), (918, 0.48), (3498, 0.4899)])
+def test_mv_error_exact_against_mpmath_tail(m, eps):
+    # (918, 0.1) underflows eps**k in a float comb sum; m > ~1030 overflows
+    # the float conversion of C(m, k); 3498 = min_lfs near the 0.49 cutoff
+    oracle = mpmath_tail(m, math.ceil(m / 2), eps)
+    assert abs(mpmath.mpf(mv_error_exact(m, eps)) - oracle) <= 1e-12 * oracle
+
+
+def test_mv_error_exact_zero_noise_is_zero():
+    assert [mv_error_exact(m, 0.0) for m in (1, 2, 3, 46, 3498)] == [0.0] * 5
 
 
 def test_mv_error_exact_monotone_in_m_for_odd():
