@@ -32,10 +32,10 @@ base = TrainingConfig(class_count=4, num_lfs=12, feature_dim=2, epochs=40, seed=
 for mode in ("infogan", "vector", "encoder"):
     config = dataclasses.replace(base, mode=mode)
     bundle, history = train(data, L, config)
-    table, tags = pseudolabel_table(bundle, data.features, L)
+    table = pseudolabel_table(bundle, data.features, L)
     acc = pseudolabel_accuracy(table, data.labels)
     ari = history.column("ari")[-1]
-    n_synth = sum(t == "synthetic" for t in tags)
+    n_synth = int((~table.covered).sum())
     print(
         f"{mode:8s}: covered pseudolabel acc {acc:.4f}  final code ARI {ari:.3f}  "
         f"({n_synth} uncovered rows fall back to the generator-side posterior)"

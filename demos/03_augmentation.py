@@ -40,7 +40,7 @@ print(f"sampled {feats.shape[0]} synthetic points; feature ranges "
 balance = class_balance_check(codes, 4)
 print(f"raw code balance: {balance.describe()}")
 
-table, _ = pseudolabel_table(bundle, data.features, L)
+table = pseudolabel_table(bundle, data.features, L)
 pls = crisp_labels(table)
 cls = ClassifierConfig(hidden_dim=16, epochs=20, seed=0)
 baseline = train_eval_classifier(data.features, pls, test.features, test.labels, cls)

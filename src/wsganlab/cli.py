@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Every subcommand writes under an output root taken from --out, the
-WSGANLAB_OUT environment variable, or ./runs, in that order.  Exit status is
-nonzero on any invariant violation (theory check failure, summary mismatch,
-rejected augmentation making all rows invalid, bad inputs).
+Subcommands that write files put them under an output root taken from --out,
+WSGANLAB_OUT or ./runs, in that order.  Exit status is nonzero on any
+invariant violation (theory check failure, summary mismatch, rejected
+augmentation making all rows invalid, bad inputs).
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import DataError, DatasetSpec, load_dataset, save_dataset, synth_dataset
+from .data import DataError, DatasetSpec, load_dataset, read_json, save_dataset, synth_dataset
 from .harness import (
     AUG_MODES,
     HarnessError,
@@ -121,14 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="pretty-print a benchmark summary and re-verify it")
     p.add_argument("--dir", type=Path, required=True, help="benchmark output directory")
-    p.add_argument("--out", help="unused; accepted for uniformity")
     return parser
 
 
 def _cmd_synth_data(args) -> int:
     if args.spec:
-        with open(args.spec) as fh:
-            spec = DatasetSpec(**json.load(fh))
+        spec = read_json(DatasetSpec, args.spec)
     else:
         spec = DatasetSpec(
             class_count=args.classes,
@@ -147,8 +145,7 @@ def _cmd_synth_data(args) -> int:
 def _cmd_synth_lfs(args) -> int:
     data = load_dataset(args.dataset)
     if args.specs:
-        with open(args.specs) as fh:
-            specs = [LfSpec(**obj) for obj in json.load(fh)]
+        specs = read_json(list[LfSpec], args.specs)
     else:
         plan = LfPlan(
             num_lfs=args.num_lfs,
@@ -196,8 +193,7 @@ def _cmd_train(args) -> int:
     data = load_dataset(args.dataset)
     L = load_label_matrix(args.lfs)
     if args.config:
-        with open(args.config) as fh:
-            config = TrainingConfig(**json.load(fh))
+        config = read_json(TrainingConfig, args.config)
     else:
         config = TrainingConfig(
             class_count=data.spec.class_count,

@@ -2,14 +2,19 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
-from dataclasses import dataclass, asdict
+import types
+import typing
+from dataclasses import MISSING, dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
     "DataError",
+    "from_json",
+    "read_json",
     "DatasetSpec",
     "Dataset",
     "synth_dataset",
@@ -22,6 +27,54 @@ __all__ = [
 
 class DataError(Exception):
     pass
+
+
+def from_json(cls, obj, source, where: str = ""):
+    """Build `cls`, a dataclass or a field annotation, from the decoded JSON `obj`.
+
+    A dataclass takes an object whose keys are all fields and which holds every
+    field without a default, and builds each field from its annotation: bool,
+    int, float (an integer is kept as written), str, `X | None`, a dataclass, or
+    a list, tuple or dict, whose elements are checked when typed.  A mismatch
+    raises DataError naming the file `source` and the field path `where`.
+    """
+    if isinstance(cls, types.UnionType):  # X | None
+        if obj is None:
+            return None
+        (cls,) = set(typing.get_args(cls)) - {type(None)}
+    record = dataclasses.is_dataclass(cls)
+    origin, args = typing.get_origin(cls) or cls, typing.get_args(cls)
+    accepted = {float: (int, float), tuple: list}.get(origin, dict if record else origin)
+    if not isinstance(obj, accepted) or (isinstance(obj, bool) and origin is not bool):
+        raise DataError(f"{source}: {where or 'the top level'} must be {origin.__name__}, not {type(obj).__name__}")
+    if record:
+        fields, prefix = dataclasses.fields(cls), f"{where}." if where else ""
+        unknown = obj.keys() - {f.name for f in fields}
+        missing = {f.name for f in fields if f.default is MISSING and f.default_factory is MISSING} - obj.keys()
+        for problem, keys in (("unknown", unknown), ("missing required", missing)):
+            if keys:
+                raise DataError(f"{source}: {problem} key {', '.join(prefix + k for k in sorted(keys))}")
+        hints = typing.get_type_hints(cls)
+        return cls(**{key: from_json(hints[key], value, source, prefix + key) for key, value in obj.items()})
+    if origin is dict and args:
+        return {key: from_json(args[1], value, source, f"{where}.{key}") for key, value in obj.items()}
+    if origin in (list, tuple) and args:
+        if origin is list or args[-1] is Ellipsis:
+            args = args[:1] * len(obj)
+        if len(obj) != len(args):
+            raise DataError(f"{source}: {where} must have {len(args)} elements, not {len(obj)}")
+        obj = [from_json(t, value, source, f"{where}[{i}]") for i, (t, value) in enumerate(zip(args, obj))]
+    return tuple(obj) if origin is tuple else obj
+
+
+def read_json(cls, path):
+    """`from_json(cls, ...)` on the contents of the JSON file at `path`."""
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    return from_json(cls, obj, path)
 
 
 @dataclass(frozen=True)
@@ -50,6 +103,12 @@ class DatasetSpec:
             raise ValueError("radius must be positive so prototypes are distinct")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
+
+
+@dataclass(frozen=True)
+class _DatasetSidecar:
+    format_version: int
+    spec: DatasetSpec
 
 
 @dataclass
@@ -106,15 +165,14 @@ def save_dataset(ds: Dataset, csv_path) -> tuple[Path, Path]:
         for row, lab in zip(ds.features, ds.labels):
             writer.writerow([repr(float(v)) for v in row] + [int(lab)])
     with open(json_path, "w") as fh:
-        json.dump({"format_version": 1, "spec": asdict(ds.spec)}, fh, indent=2)
+        json.dump(asdict(_DatasetSidecar(1, ds.spec)), fh, indent=2)
         fh.write("\n")
     return csv_path, json_path
 
 
 def load_dataset(csv_path) -> Dataset:
     csv_path = Path(csv_path)
-    with open(csv_path.with_suffix(".json")) as fh:
-        spec = DatasetSpec(**json.load(fh)["spec"])
+    spec = read_json(_DatasetSidecar, csv_path.with_suffix(".json")).spec
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)

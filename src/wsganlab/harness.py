@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import Dataset, DatasetSpec, nearest_prototype_labels, save_dataset, synth_dataset
+from .data import Dataset, DatasetSpec, nearest_prototype_labels, read_json, save_dataset, synth_dataset
 from .labelmodel import (
     LfSpec,
     crisp_labels,
@@ -104,8 +104,8 @@ class LfPlan:
     """Recipe for sampling a family of labeling functions per run seed."""
 
     num_lfs: int = 12
-    accuracy_range: tuple = (0.55, 0.9)
-    propensity_range: tuple = (0.1, 0.3)
+    accuracy_range: tuple[float, float] = (0.55, 0.9)
+    propensity_range: tuple[float, float] = (0.1, 0.3)
 
     def __post_init__(self):
         if self.num_lfs < 1:
@@ -143,9 +143,9 @@ class LfPlan:
 class ExperimentConfig:
     dataset: DatasetSpec = DatasetSpec()
     lf_plan: LfPlan = LfPlan()
-    training: TrainingConfig = None
-    seeds: tuple = (101, 102, 103)
-    metrics: tuple = METRIC_NAMES
+    training: TrainingConfig | None = None
+    seeds: tuple[int, ...] = (101, 102, 103)
+    metrics: tuple[str, ...] = METRIC_NAMES
     classifier: ClassifierConfig = ClassifierConfig()
 
     def __post_init__(self):
@@ -154,25 +154,11 @@ class ExperimentConfig:
         bad = [m for m in self.metrics if m not in METRIC_NAMES]
         if bad:
             raise HarnessError(f"unknown metrics {bad}; choose from {METRIC_NAMES}")
-        base = self.training if self.training is not None else TrainingConfig(
-            class_count=self.dataset.class_count,
-            num_lfs=self.lf_plan.num_lfs,
-            feature_dim=self.dataset.feature_dim,
-        )
         # dimension fields are derived from the dataset and LF plan
-        synced = dataclasses.replace(
-            base,
-            class_count=self.dataset.class_count,
-            num_lfs=self.lf_plan.num_lfs,
-            feature_dim=self.dataset.feature_dim,
-        )
-        object.__setattr__(self, "training", synced)
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["seeds"] = list(self.seeds)
-        out["metrics"] = list(self.metrics)
-        return out
+        dims = {"class_count": self.dataset.class_count, "num_lfs": self.lf_plan.num_lfs,
+                "feature_dim": self.dataset.feature_dim}
+        training = TrainingConfig(**dims) if self.training is None else dataclasses.replace(self.training, **dims)
+        object.__setattr__(self, "training", training)
 
 
 def default_benchmark_config() -> ExperimentConfig:
@@ -181,36 +167,12 @@ def default_benchmark_config() -> ExperimentConfig:
 
 
 def config_hash(config) -> str:
-    payload = config.to_dict() if hasattr(config, "to_dict") else asdict(config)
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    canon = json.dumps(asdict(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        raw = json.load(fh)
-    return experiment_config_from_dict(raw)
-
-
-def experiment_config_from_dict(raw: dict) -> ExperimentConfig:
-    kwargs = {}
-    if "dataset" in raw:
-        kwargs["dataset"] = DatasetSpec(**raw["dataset"])
-    if "lf_plan" in raw:
-        plan = dict(raw["lf_plan"])
-        for key in ("accuracy_range", "propensity_range"):
-            if key in plan:
-                plan[key] = tuple(plan[key])
-        kwargs["lf_plan"] = LfPlan(**plan)
-    if "training" in raw and raw["training"] is not None:
-        kwargs["training"] = TrainingConfig(**raw["training"])
-    if "seeds" in raw:
-        kwargs["seeds"] = tuple(raw["seeds"])
-    if "metrics" in raw:
-        kwargs["metrics"] = tuple(raw["metrics"])
-    if "classifier" in raw:
-        kwargs["classifier"] = ClassifierConfig(**raw["classifier"])
-    return ExperimentConfig(**kwargs)
+    return read_json(ExperimentConfig, path)
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +213,11 @@ def read_csv(path) -> tuple[list, list]:
 class RunManifest:
     config_hash: str
     version: str
-    seeds: list
-    files: dict = field(default_factory=dict)
-    checkpoints: dict = field(default_factory=dict)
-    wall_times: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
+    seeds: list[int]
+    files: dict[str, str] = field(default_factory=dict)
+    checkpoints: dict[str, str] = field(default_factory=dict)
+    wall_times: dict[str, float] = field(default_factory=dict)
+    failures: list[dict] = field(default_factory=list)
 
     def save_json(self, path) -> Path:
         path = Path(path)
@@ -266,8 +228,7 @@ class RunManifest:
 
     @staticmethod
     def load_json(path) -> "RunManifest":
-        with open(path) as fh:
-            return RunManifest(**json.load(fh))
+        return read_json(RunManifest, path)
 
 
 def _metric_row(seed, model, table, ari_value, data: Dataset, gen_feats, config) -> list:
@@ -343,7 +304,7 @@ def run_benchmark(config: ExperimentConfig, out_dir) -> RunManifest:
             history.save_csv(seed_dir / f"history_{model}.csv")
             ckpt = save_bundle(bundle, seed_dir / f"checkpoint_{model}.json")
             manifest.checkpoints[f"{model}_seed{seed}"] = str(ckpt)
-            table, _tags = pseudolabel_table(bundle, data.features, L)
+            table = pseudolabel_table(bundle, data.features, L)
             gen_feats, _codes = generate_samples(bundle, n_gen, seed=derive_seed(seed, _STREAM_GEN))
             ari = history.records[-1][HISTORY_COLUMNS.index("ari")] if history.records else float("nan")
             rows.append(_metric_row(seed, model, table, ari, data, gen_feats, config))
@@ -355,7 +316,7 @@ def run_benchmark(config: ExperimentConfig, out_dir) -> RunManifest:
         write_csv(out_dir / "summary.csv", ["model", "metric", "mean", "std"], summary_rows)
     )
     with open(out_dir / "config.json", "w") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(config), fh, indent=2, sort_keys=True)
         fh.write("\n")
     manifest.files["config"] = str(out_dir / "config.json")
     manifest.save_json(out_dir / "manifest.json")
@@ -403,30 +364,19 @@ def verify_benchmark_dir(out_dir) -> list:
 
 @dataclass(frozen=True)
 class TheoryGridConfig:
-    m_values: tuple = (3, 7, 15)
-    alpha_values: tuple = (0.1, 0.2, 0.3)
-    eps_values: tuple = (0.1, 0.2, 0.3, 0.4)
-    eps_lambda_values: tuple = (0.1, 0.2, 0.3, 0.4)
+    m_values: tuple[int, ...] = (3, 7, 15)
+    alpha_values: tuple[float, ...] = (0.1, 0.2, 0.3)
+    eps_values: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4)
+    eps_lambda_values: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4)
     mc_trials: int = 100_000
     num_joints: int = 50
     max_support: int = 32
     hellinger_pairs: int = 1000
     seed: int = 7
 
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        for key in ("m_values", "alpha_values", "eps_values", "eps_lambda_values"):
-            out[key] = list(out[key])
-        return out
-
 
 def load_theory_grid(path) -> TheoryGridConfig:
-    with open(path) as fh:
-        raw = json.load(fh)
-    for key in ("m_values", "alpha_values", "eps_values", "eps_lambda_values"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
-    return TheoryGridConfig(**raw)
+    return read_json(TheoryGridConfig, path)
 
 
 def run_theory_suite(grid: TheoryGridConfig | None = None, out_dir=None) -> TheoryReport:
@@ -470,7 +420,7 @@ def run_theory_suite(grid: TheoryGridConfig | None = None, out_dir=None) -> Theo
         with open(out_dir / "theory_report.txt", "w") as fh:
             fh.write(report.to_text())
         with open(out_dir / "theory_grid.json", "w") as fh:
-            json.dump(grid.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(asdict(grid), fh, indent=2, sort_keys=True)
             fh.write("\n")
     return report
 
@@ -514,7 +464,7 @@ def run_augmentation(
             tcfg = dataclasses.replace(config.training, mode="encoder", seed=derive_seed(seed, _STREAM_TRAIN))
             bundle, _history = train(data, L, tcfg)
 
-        table, _tags = pseudolabel_table(bundle, data.features, L)
+        table = pseudolabel_table(bundle, data.features, L)
         pls = crisp_labels(table)
         cls_cfg = dataclasses.replace(config.classifier, seed=derive_seed(seed, _STREAM_CLASSIFIER))
         baseline = train_eval_classifier(data.features, pls, test.features, test.labels, cls_cfg)

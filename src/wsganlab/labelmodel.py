@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import read_json
+
 __all__ = [
     "WeakSupError",
     "InfeasibleLfSpecError",
@@ -369,17 +371,16 @@ def dawid_skene_fit(
     class_count: int | None = None,
     max_iters: int = 200,
     tol: float = 1e-6,
-    init_accuracy: float = 0.7,
     update_prior: bool = True,
 ) -> DawidSkeneResult:
     """One-coin Dawid-Skene EM.
 
-    Each LF has a single accuracy a_j: a covered vote equals the true label
-    with probability a_j and is otherwise uniform over the remaining C-1
-    classes.  E-step posteriors are computed in the log domain; the M-step is
-    the posterior-weighted agreement rate, clamped to [1e-4, 1-1e-4].  The
-    marginal log-likelihood is recorded each iteration and is monotone
-    non-decreasing; convergence is an absolute change below `tol`.
+    Each LF has a single accuracy a_j, starting at 0.7: a covered vote equals
+    the true label with probability a_j and is otherwise uniform over the
+    remaining C-1 classes.  E-step posteriors are computed in the log domain;
+    the M-step is the posterior-weighted agreement rate, clamped to [1e-4,
+    1-1e-4].  The marginal log-likelihood, recorded each iteration, never
+    decreases; convergence is an absolute change below `tol`.
     """
     votes, C = _as_votes(L, class_count)
     n, m = votes.shape
@@ -389,7 +390,7 @@ def dawid_skene_fit(
     vote_counts = np.bincount(cast.lf, minlength=m)
     covered = votes.any(axis=1)
 
-    acc = np.clip(np.full(m, float(init_accuracy)), 1e-4, 1.0 - 1e-4)
+    acc = np.full(m, 0.7)
     prior = np.full(C, 1.0 / C)
 
     trace: list[float] = []
@@ -439,6 +440,15 @@ def dawid_skene_fit(
 # serialization
 
 
+@dataclass(frozen=True)
+class _LabelMatrixSidecar:
+    format_version: int
+    class_count: int
+    num_lfs: int
+    num_samples: int
+    lf_specs: list[LfSpec] | None = None
+
+
 def save_label_matrix(lm: LabelMatrix, csv_path) -> tuple[Path, Path]:
     """Write votes as CSV (header lf_0..lf_{m-1}) plus a JSON sidecar.
 
@@ -451,15 +461,9 @@ def save_label_matrix(lm: LabelMatrix, csv_path) -> tuple[Path, Path]:
         writer = csv.writer(fh)
         writer.writerow([f"lf_{j}" for j in range(lm.num_lfs)])
         writer.writerows(lm.votes.tolist())
-    sidecar = {
-        "format_version": 1,
-        "class_count": lm.class_count,
-        "num_lfs": lm.num_lfs,
-        "num_samples": lm.num_samples,
-        "lf_specs": [asdict(s) for s in lm.lf_specs] if lm.lf_specs is not None else None,
-    }
+    sidecar = _LabelMatrixSidecar(1, lm.class_count, lm.num_lfs, lm.num_samples, lm.lf_specs)
     with open(json_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2)
+        json.dump(asdict(sidecar), fh, indent=2)
         fh.write("\n")
     return csv_path, json_path
 
@@ -487,20 +491,14 @@ def _read_votes(fh, num_lfs: int, csv_path: Path) -> np.ndarray:
 def load_label_matrix(csv_path) -> LabelMatrix:
     """Inverse of save_label_matrix; validates shape against the sidecar."""
     csv_path = Path(csv_path)
-    json_path = csv_path.with_suffix(".json")
-    with open(json_path) as fh:
-        sidecar = json.load(fh)
+    sidecar = read_json(_LabelMatrixSidecar, csv_path.with_suffix(".json"))
     with open(csv_path, newline="") as fh:
         header = next(csv.reader([fh.readline()]))
         if header != [f"lf_{j}" for j in range(len(header))]:
             raise WeakSupError(f"unexpected CSV header {header!r}")
         votes = _read_votes(fh, len(header), csv_path)
-    if votes.shape != (sidecar["num_samples"], sidecar["num_lfs"]):
+    if votes.shape != (sidecar.num_samples, sidecar.num_lfs):
         raise WeakSupError(
-            f"CSV shape {votes.shape} disagrees with sidecar "
-            f"({sidecar['num_samples']}, {sidecar['num_lfs']})"
+            f"CSV shape {votes.shape} disagrees with sidecar ({sidecar.num_samples}, {sidecar.num_lfs})"
         )
-    specs = None
-    if sidecar.get("lf_specs") is not None:
-        specs = [LfSpec(**s) for s in sidecar["lf_specs"]]
-    return LabelMatrix(votes, sidecar["class_count"], lf_specs=specs)
+    return LabelMatrix(votes, sidecar.class_count, lf_specs=sidecar.lf_specs)

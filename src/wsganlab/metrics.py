@@ -237,7 +237,7 @@ def train_eval_classifier(
         warnings.warn(f"classes {missing} absent from training labels", RuntimeWarning)
 
     rng = np.random.default_rng(config.seed)
-    net = MLP([tx.shape[1], config.hidden_dim, config.hidden_dim, C], rng, hidden_activation="tanh")
+    net = MLP([tx.shape[1], config.hidden_dim, config.hidden_dim, C], rng)
     opt = ad.Adam(net.params, lr=config.learning_rate)
     targets = one_hot(ty, C)
     n = tx.shape[0]

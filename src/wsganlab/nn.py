@@ -5,13 +5,6 @@ import numpy as np
 
 from . import autodiff as ad
 
-_ACTIVATIONS = {
-    "tanh": ad.tanh,
-    "relu": ad.relu,
-    "sigmoid": ad.sigmoid,
-    "identity": lambda x: x,
-}
-
 
 class Linear:
     """Affine map with Glorot-normal weights and zero bias.
@@ -37,26 +30,22 @@ class Linear:
 
 
 class MLP:
-    """Stack of Linear layers with a fixed hidden activation.
+    """Stack of Linear layers with tanh between them.
 
     `dims` lists layer widths input-first, e.g. [2, 64, 64] builds two layers.
     The output layer is linear; callers apply their own head nonlinearity.
     """
 
-    def __init__(self, dims: list[int], rng: np.random.Generator, hidden_activation: str = "tanh"):
+    def __init__(self, dims: list[int], rng: np.random.Generator):
         if len(dims) < 2:
             raise ValueError("MLP needs at least an input and an output width")
-        if hidden_activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {hidden_activation!r}")
         self.dims = list(dims)
-        self.activation = hidden_activation
         self.layers = [Linear(a, b, rng) for a, b in zip(dims[:-1], dims[1:])]
 
     def __call__(self, x: ad.Tensor) -> ad.Tensor:
-        act = _ACTIVATIONS[self.activation]
         out = x
         for layer in self.layers[:-1]:
-            out = act(layer(out))
+            out = ad.tanh(layer(out))
         return self.layers[-1](out)
 
     @property

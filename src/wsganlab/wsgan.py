@@ -20,6 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam, Tensor
+from .data import read_json
 from .labelmodel import (
     PosteriorTable,
     _as_votes,
@@ -491,7 +492,7 @@ def _epoch_metrics(bundle, x, votes, covered_mask, hidden_labels) -> tuple[float
         ari = adjusted_rand_index(code_assign, hidden_labels)
         if not covered_mask.any():
             return ari, 0.0
-        table, _ = pseudolabel_table(bundle, x[covered_mask], votes[covered_mask])
+        table = pseudolabel_table(bundle, x[covered_mask], votes[covered_mask])
         pl_acc = float((crisp_labels(table) == hidden_labels[covered_mask]).mean())
     return ari, pl_acc
 
@@ -504,15 +505,14 @@ def predict_pseudolabels(bundle: ModelBundle, x_row: np.ndarray, votes_row=None)
     """Posterior for one sample: LF route when any vote exists, otherwise the
     synthetic route through the code head and the code-to-label map."""
     votes = None if votes_row is None else np.reshape(votes_row, (1, -1))
-    table, tags = pseudolabel_table(bundle, np.reshape(x_row, (1, -1)), votes)
-    return table.probs[0], tags[0]
+    table = pseudolabel_table(bundle, np.reshape(x_row, (1, -1)), votes)
+    return table.probs[0], "lf" if table.covered[0] else "synthetic"
 
 
-def pseudolabel_table(bundle: ModelBundle, x: np.ndarray, L=None) -> tuple[PosteriorTable, np.ndarray]:
+def pseudolabel_table(bundle: ModelBundle, x: np.ndarray, L=None) -> PosteriorTable:
     """Vectorized posterior for a whole feature matrix.
 
-    Returns the table (covered flag = has votes) and per-row source tags
-    ("lf" / "synthetic"), which partition exactly by vote coverage.
+    Rows with votes (covered) take the LF route, the rest the synthetic route.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -522,7 +522,6 @@ def pseudolabel_table(bundle: ModelBundle, x: np.ndarray, L=None) -> tuple[Poste
         raise TrainingError("label matrix rows must match features")
     covered = (votes != 0).any(axis=1)
     probs = np.empty((n, C))
-    tags = np.where(covered, "lf", "synthetic").astype(object)
     with ad.no_grad():
         if (~covered).any():
             code = bundle.code_posterior(bundle.features(Tensor(x[~covered])))
@@ -530,7 +529,7 @@ def pseudolabel_table(bundle: ModelBundle, x: np.ndarray, L=None) -> tuple[Poste
         if covered.any():
             weights = bundle.lf_weights(bundle.features(Tensor(x[covered]))).data
             probs[covered] = weighted_softmax_posterior(votes[covered], weights, C)
-    return PosteriorTable(probs, covered), tags
+    return PosteriorTable(probs, covered)
 
 
 def generate_samples(
@@ -627,13 +626,13 @@ def augment_dataset(
 
     feats, _codes = generate_samples(bundle, n_synth, seed=seed)
     if mode == "synthetic_pl":
-        table, _tags = pseudolabel_table(bundle, feats, None)
+        table = pseudolabel_table(bundle, feats, None)
     else:
         rng = np.random.default_rng((seed, 1))
         votes = np.asarray(lf_applicator(feats, rng), dtype=np.int64)
         if votes.shape != (n_synth, bundle.config.num_lfs):
             raise TrainingError(f"lf_applicator returned shape {votes.shape}")
-        table, _tags = pseudolabel_table(bundle, feats, votes)
+        table = pseudolabel_table(bundle, feats, votes)
     new_labels = crisp_labels(table)
 
     balance = class_balance_check(new_labels, bundle.config.class_count, balance_tolerance)
@@ -650,6 +649,14 @@ def augment_dataset(
 
 # ---------------------------------------------------------------------------
 # checkpointing
+
+
+@dataclass(frozen=True)
+class _Checkpoint:
+    format_version: int
+    config: TrainingConfig
+    params: dict[str, list]
+    rng_state: dict | None = None
 
 
 def save_bundle(bundle: ModelBundle, path, rng_state: dict | None = None) -> Path:
@@ -672,16 +679,17 @@ def save_bundle(bundle: ModelBundle, path, rng_state: dict | None = None) -> Pat
 
 
 def load_bundle(path) -> tuple[ModelBundle, dict | None]:
-    path = Path(path)
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format_version") != 1:
-        raise TrainingError(f"unsupported checkpoint version {payload.get('format_version')!r}")
-    config = TrainingConfig(**payload["config"])
-    bundle = ModelBundle(config, np.random.default_rng(0))
-    for name, tensor in bundle.named_params():
-        stored = np.asarray(payload["params"][name], dtype=np.float64)
+    ckpt = read_json(_Checkpoint, path)
+    if ckpt.format_version != 1:
+        raise TrainingError(f"unsupported checkpoint version {ckpt.format_version!r}")
+    bundle = ModelBundle(ckpt.config, np.random.default_rng(0))
+    named = dict(bundle.named_params())
+    if named.keys() != ckpt.params.keys():
+        missing, unknown = sorted(named.keys() - ckpt.params.keys()), sorted(ckpt.params.keys() - named.keys())
+        raise TrainingError(f"checkpoint {path}: missing params {missing}, unknown params {unknown}")
+    for name, tensor in named.items():
+        stored = np.asarray(ckpt.params[name], dtype=np.float64)
         if stored.shape != tensor.data.shape:
             raise TrainingError(f"checkpoint param {name} has shape {stored.shape}, expected {tensor.data.shape}")
         tensor.data = stored
-    return bundle, payload.get("rng_state")
+    return bundle, ckpt.rng_state

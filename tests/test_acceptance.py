@@ -508,7 +508,7 @@ def test_criterion_12_determinism(acceptance, tmp_path):
         classifier=ClassifierConfig(hidden_dim=8, epochs=3, batch_size=32, seed=0),
     )
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(config.to_dict()))
+    cfg_path.write_text(json.dumps(dataclasses.asdict(config)))
     for name in ("r1", "r2"):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)

@@ -1,5 +1,7 @@
-"""Synthetic blob dataset: geometry, determinism, serialization."""
+"""Synthetic blob dataset: geometry, determinism, serialization, and the
+strict JSON loader every config and sidecar goes through."""
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -9,11 +11,16 @@ from wsganlab.data import (
     Dataset,
     DatasetSpec,
     class_prototypes,
+    from_json,
     load_dataset,
     nearest_prototype_labels,
     save_dataset,
     synth_dataset,
 )
+from wsganlab.harness import ExperimentConfig, LfPlan, RunManifest, TheoryGridConfig, default_benchmark_config
+from wsganlab.labelmodel import LfSpec
+from wsganlab.metrics import ClassifierConfig
+from wsganlab.wsgan import TrainingConfig
 
 
 def test_spec_validation():
@@ -104,3 +111,67 @@ def test_load_rejects_malformed_row_naming_path(tmp_path, row):
     csv_path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match="d.csv"):
         load_dataset(csv_path)
+
+
+# ---------------------------------------------------------------------------
+# from_json
+
+
+def _config_objects():
+    return [
+        DatasetSpec(class_count=3, radius=2.5, seed=9),
+        LfSpec(target_class=2, accuracy=0.75, propensity=0.2, seed=5),
+        LfPlan(num_lfs=5, accuracy_range=(0.6, 0.8)),
+        TrainingConfig(class_count=3, num_lfs=5, feature_dim=2, mode="vector", lr_d=3e-4),
+        ClassifierConfig(hidden_dim=8),
+        ExperimentConfig(),
+        ExperimentConfig(dataset=DatasetSpec(class_count=3), seeds=(4, 5), metrics=("ari",)),
+        TheoryGridConfig(m_values=(3,), alpha_values=(0.25,)),
+        RunManifest(
+            config_hash="ab", version="0.1.0", seeds=[1, 2], files={"summary": "s.csv"},
+            wall_times={"infogan_seed1": 0.5}, failures=[{"seed": 1, "model": "ds", "error": "x"}],
+        ),
+    ]
+
+
+@pytest.mark.parametrize("obj", _config_objects(), ids=lambda o: type(o).__name__)
+def test_from_json_roundtrips_asdict(obj):
+    payload = json.loads(json.dumps(dataclasses.asdict(obj)))
+    assert from_json(type(obj), payload, "c.json") == obj
+
+
+def test_from_json_builds_nested_tuples_and_null():
+    raw = {"dataset": {"class_count": 3, "radius": 5}, "lf_plan": {"accuracy_range": [0.6, 0.8]},
+           "training": None, "seeds": [7, 8]}
+    config = from_json(ExperimentConfig, raw, "c.json")
+    assert config.dataset == DatasetSpec(class_count=3, radius=5)
+    assert config.dataset.radius == 5 and isinstance(config.dataset.radius, int)  # kept as written
+    assert config.lf_plan.accuracy_range == (0.6, 0.8)
+    assert config.seeds == (7, 8)
+    assert config.training.class_count == 3 and config.training.epochs == 60  # null: derived default
+    assert from_json(ExperimentConfig, {}, "c.json") == default_benchmark_config()
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ([], "the top level must be ExperimentConfig, not list"),
+        ({"seed": [7], "trainig": {"epochs": 2}}, "unknown key seed, trainig"),
+        ({"training": {"epochs": 2}}, "missing required key training.class_count, training.feature_dim, training.num_lfs"),
+        ({"seeds": 101}, "seeds must be tuple, not int"),
+        ({"seeds": [101, "102"]}, "seeds[1] must be int, not str"),
+        ({"dataset": {"num_samples": True}}, "dataset.num_samples must be int, not bool"),
+        ({"dataset": {"radius": "4"}}, "dataset.radius must be float, not str"),
+        ({"lf_plan": {"accuracy_range": [0.6]}}, "lf_plan.accuracy_range must have 2 elements, not 1"),
+        ({"classifier": [1]}, "classifier must be ClassifierConfig, not list"),
+    ],
+)
+def test_from_json_rejects_naming_file_and_path(raw, message):
+    with pytest.raises(DataError) as info:
+        from_json(ExperimentConfig, raw, "cfg.json")
+    assert str(info.value) == f"cfg.json: {message}"
+
+
+def test_from_json_leaves_dataclass_validation_to_the_class():
+    with pytest.raises(ValueError, match="class_count must be >= 2"):
+        from_json(DatasetSpec, {"class_count": 1}, "s.json")

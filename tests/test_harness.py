@@ -1,12 +1,13 @@
 """Experiment orchestration: configs, benchmark runs, reports, and the CLI."""
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wsganlab.cli import main
-from wsganlab.data import DatasetSpec
+from wsganlab.data import DatasetSpec, from_json
 from wsganlab.harness import (
     AUG_HEADER,
     BENCHMARK_MODELS,
@@ -19,8 +20,8 @@ from wsganlab.harness import (
     config_hash,
     default_benchmark_config,
     derive_seed,
-    experiment_config_from_dict,
     load_experiment_config,
+    load_theory_grid,
     make_lf_applicator,
     read_csv,
     run_augmentation,
@@ -99,7 +100,7 @@ def test_experiment_config_rejects_unknown_metric():
 
 def test_config_dict_roundtrip_preserves_hash():
     config = tiny_config()
-    clone = experiment_config_from_dict(json.loads(json.dumps(config.to_dict())))
+    clone = from_json(ExperimentConfig, json.loads(json.dumps(dataclasses.asdict(config))), "config.json")
     assert config_hash(clone) == config_hash(config)
     assert clone == config
 
@@ -121,7 +122,7 @@ def test_default_benchmark_config_shape():
 
 def test_load_experiment_config(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(tiny_config().to_dict()))
+    path.write_text(json.dumps(dataclasses.asdict(tiny_config())))
     assert load_experiment_config(path) == tiny_config()
     path.write_text(json.dumps({"seeds": []}))
     with pytest.raises(HarnessError):
@@ -191,8 +192,7 @@ def test_benchmark_outputs(tiny_run):
         for model in ("infogan", "wsgan_vector", "wsgan_encoder"):
             assert (seed_dir / f"history_{model}.csv").exists()
             assert (seed_dir / f"checkpoint_{model}.json").exists()
-    stored = json.loads((out / "config.json").read_text())
-    assert experiment_config_from_dict(stored) == config
+    assert load_experiment_config(out / "config.json") == config
 
 
 def test_benchmark_manifest_roundtrip(tiny_run):
@@ -294,7 +294,8 @@ def test_run_theory_suite_smoke(tmp_path):
     text = (tmp_path / "theory_report.txt").read_text()
     assert "overall: PASS" in text
     stored = json.loads((tmp_path / "theory_grid.json").read_text())
-    assert stored == grid.to_dict()
+    assert stored == json.loads(json.dumps(dataclasses.asdict(grid)))
+    assert load_theory_grid(tmp_path / "theory_grid.json") == grid
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +336,7 @@ def test_cli_train(tmp_path):
 def test_cli_benchmark_report_augment(tmp_path):
     out = tmp_path / "runs"
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(tiny_config(seeds=(11,)).to_dict()))
+    cfg_path.write_text(json.dumps(dataclasses.asdict(tiny_config(seeds=(11,)))))
     assert run_cli("benchmark", "--out", out, "--config", cfg_path, "--dir-name", "b0") == 0
     assert run_cli("report", "--dir", out / "b0") == 0
     rc = run_cli(
@@ -369,7 +370,7 @@ def test_cli_theory_exit_codes(tmp_path):
         hellinger_pairs=10,
         seed=7,
     )
-    grid_path.write_text(json.dumps(grid.to_dict()))
+    grid_path.write_text(json.dumps(dataclasses.asdict(grid)))
     assert run_cli("theory", "--out", tmp_path / "runs", "--grid", grid_path) == 0
     assert (tmp_path / "runs" / "theory" / "theory_report.txt").exists()
 
@@ -399,3 +400,115 @@ def test_cli_dataset_errors_return_one(tmp_path, capsys, corrupt):
     assert run_cli("synth-lfs", "--out", out, "--dataset", csv_path, "--num-lfs", "4", "--seed", "4") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(csv_path) in err
+
+
+# Every JSON file the CLI reads, with the command that reads it.  The cases
+# drop a required key only where the dataclass has one: DatasetSpec,
+# ExperimentConfig's top level and TheoryGridConfig default every field.
+_JSON_INPUTS = {
+    "spec": ("spec.json", lambda f, ds, lfs: ["synth-data", "--spec", f]),
+    "specs": ("specs.json", lambda f, ds, lfs: ["synth-lfs", "--dataset", ds, "--specs", f]),
+    "dataset-sidecar": ("dataset.json", lambda f, ds, lfs: ["synth-lfs", "--dataset", ds]),
+    "lfs-sidecar": ("lfs.json", lambda f, ds, lfs: ["fit-labelmodel", "--lfs", lfs]),
+    "train-config": ("train.json", lambda f, ds, lfs: ["train", "--dataset", ds, "--lfs", lfs, "--config", f]),
+    "benchmark-config": ("cfg.json", lambda f, ds, lfs: ["benchmark", "--config", f]),
+    "augment-manifest": ("manifest.json", lambda f, ds, lfs: ["augment", "--manifest", f]),
+    "theory-grid": ("grid.json", lambda f, ds, lfs: ["theory", "--grid", f]),
+}
+
+
+_DROP = object()
+
+
+def _set(key, value):
+    """Set (or, with _DROP, delete) a dotted key; digits index lists."""
+    def mutate(obj):
+        *path, last = key.split(".")
+        for k in path:
+            obj = obj[int(k)] if isinstance(obj, list) else obj[k]
+        if value is _DROP:
+            del obj[last]
+        else:
+            obj[last] = value
+    return mutate
+
+
+_JSON_CASES = [
+    ("spec", "unknown", _set("colour", 1), "unknown key colour"),
+    ("spec", "mistyped", _set("num_samples", "30"), "num_samples must be int"),
+    ("specs", "unknown", _set("0.region", 1), "unknown key [0].region"),
+    ("specs", "missing", _set("0.target_class", _DROP), "missing required key [0].target_class"),
+    ("specs", "mistyped", _set("0.accuracy", "high"), "[0].accuracy must be float"),
+    ("dataset-sidecar", "unknown", _set("spec.colour", 1), "unknown key spec.colour"),
+    ("dataset-sidecar", "missing", _set("spec", _DROP), "missing required key spec"),
+    ("dataset-sidecar", "mistyped", _set("spec.sigma", "wide"), "spec.sigma must be float"),
+    ("lfs-sidecar", "unknown", _set("extra", 1), "unknown key extra"),
+    ("lfs-sidecar", "missing", _set("num_lfs", _DROP), "missing required key num_lfs"),
+    ("lfs-sidecar", "mistyped", _set("class_count", "3"), "class_count must be int"),
+    ("train-config", "unknown", _set("epoch", 1), "unknown key epoch"),
+    ("train-config", "missing", _set("class_count", _DROP), "missing required key class_count"),
+    ("train-config", "mistyped", _set("epochs", 1.5), "epochs must be int"),
+    ("benchmark-config", "unknown", _set("seed", [7]), "unknown key seed"),
+    ("benchmark-config", "mistyped", _set("seeds", 11), "seeds must be tuple"),
+    ("benchmark-config", "nested-unknown", _set("training.epoch", 1), "unknown key training.epoch"),
+    ("benchmark-config", "nested-missing", _set("training.class_count", _DROP),
+     "missing required key training.class_count"),
+    ("benchmark-config", "nested-mistyped", _set("lf_plan.num_lfs", "5"), "lf_plan.num_lfs must be int"),
+    ("augment-manifest", "unknown", _set("extra", 1), "unknown key extra"),
+    ("augment-manifest", "missing", _set("config_hash", _DROP), "missing required key config_hash"),
+    ("augment-manifest", "mistyped", _set("seeds", "11"), "seeds must be list"),
+    ("theory-grid", "unknown", _set("m_value", [3]), "unknown key m_value"),
+    ("theory-grid", "mistyped", _set("m_values", [3.5]), "m_values[0] must be int"),
+]
+
+
+@pytest.fixture(scope="module")
+def valid_json_inputs(tmp_path_factory):
+    """Valid contents of every JSON input, and a dataset plus label matrix to read them with."""
+    root = tmp_path_factory.mktemp("inputs")
+    assert run_cli("synth-data", "--out", root, "--classes", "3", "--samples", "120", "--seed", "4") == 0
+    assert run_cli("synth-lfs", "--out", root, "--dataset", root / "dataset.csv", "--num-lfs", "4", "--seed", "4") == 0
+    grid = TheoryGridConfig(m_values=(3,), alpha_values=(0.2,), eps_values=(0.1,), eps_lambda_values=(0.2,),
+                            mc_trials=200, num_joints=1, max_support=4, hellinger_pairs=5)
+    valid = {
+        "spec": dataclasses.asdict(DatasetSpec(class_count=3, num_samples=120)),
+        "specs": [{"target_class": 1, "accuracy": 0.8, "propensity": 0.2, "seed": 0}],
+        "dataset-sidecar": json.loads((root / "dataset.json").read_text()),
+        "lfs-sidecar": json.loads((root / "lfs.json").read_text()),
+        "train-config": dataclasses.asdict(TrainingConfig(class_count=3, num_lfs=4, feature_dim=2, epochs=1)),
+        "benchmark-config": dataclasses.asdict(tiny_config(seeds=(11,))),
+        "augment-manifest": {"config_hash": "ab", "version": "0.1.0", "seeds": [11]},
+        "theory-grid": dataclasses.asdict(grid),
+    }
+    return root, json.loads(json.dumps(valid))
+
+
+@pytest.mark.parametrize(
+    "name, mutate, message",
+    [(name, mutate, message) for name, _case, mutate, message in _JSON_CASES],
+    ids=[f"{name}-{case}" for name, case, *_ in _JSON_CASES],
+)
+def test_cli_rejects_bad_json_input_naming_file(tmp_path, capsys, valid_json_inputs, name, mutate, message):
+    root, valid = valid_json_inputs
+    for stem in ("dataset", "lfs"):
+        for suffix in (".csv", ".json"):
+            (tmp_path / f"{stem}{suffix}").write_bytes((root / f"{stem}{suffix}").read_bytes())
+    file_name, command = _JSON_INPUTS[name]
+    obj = json.loads(json.dumps(valid[name]))
+    mutate(obj)
+    path = tmp_path / file_name
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "runs"
+    capsys.readouterr()
+    assert run_cli(*command(path, tmp_path / "dataset.csv", tmp_path / "lfs.csv"), "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
+    assert not out.exists()  # rejected before anything ran or was written
+
+
+def test_readme_config_example_is_the_default(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = readme.split("The experiment config mirrors", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "config.json"
+    path.write_text(example)
+    assert load_experiment_config(path) == default_benchmark_config()

@@ -436,10 +436,10 @@ def test_predict_routes_lf_vs_synthetic():
 def test_pseudolabel_table_partitions_by_coverage():
     data, L = small_problem()
     bundle, _ = train(data, L, small_config())
-    table, tags = pseudolabel_table(bundle, data.features, L)
+    table = pseudolabel_table(bundle, data.features, L)
     covered = (L.votes != 0).any(axis=1)
     assert (table.covered == covered).all()
-    assert all(t == ("lf" if c else "synthetic") for t, c in zip(tags, covered))
+    assert covered.any() and not covered.all()  # both routes run
     assert np.allclose(table.probs.sum(axis=1), 1.0)
     # batch path agrees with the single-row path
     i = int(np.flatnonzero(covered)[3])
@@ -539,8 +539,8 @@ def test_bundle_roundtrip_bitwise(tmp_path):
     for (na, pa), (nb, pb) in zip(bundle.named_params(), loaded.named_params()):
         assert na == nb and (pa.data == pb.data).all()
     # predictions are reproduced exactly
-    t1, _ = pseudolabel_table(bundle, data.features, L)
-    t2, _ = pseudolabel_table(loaded, data.features, L)
+    t1 = pseudolabel_table(bundle, data.features, L)
+    t2 = pseudolabel_table(loaded, data.features, L)
     assert (t1.probs == t2.probs).all()
 
 
@@ -559,4 +559,18 @@ def test_load_rejects_bad_version_and_shape(tmp_path):
     with open(path, "w") as fh:
         json.dump(payload, fh)
     with pytest.raises(TrainingError):
+        load_bundle(path)
+
+
+@pytest.mark.parametrize("change", ["missing", "unknown"])
+def test_load_rejects_missing_or_unknown_param(tmp_path, change):
+    bundle = ModelBundle(small_config(), np.random.default_rng(0))
+    path = save_bundle(bundle, tmp_path / "c.json")
+    payload = json.loads(path.read_text())
+    if change == "missing":
+        del payload["params"]["trunk.0.b"]
+    else:
+        payload["params"]["trunk.9.w"] = [[0.0]]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(TrainingError, match=r"trunk\.[09]\.[bw]"):
         load_bundle(path)
