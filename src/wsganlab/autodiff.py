@@ -298,19 +298,19 @@ def linear_map(x, forward, adjoint):
 
 def _toposort(root: Tensor) -> list[Tensor]:
     order: list[Tensor] = []
-    seen: set[int] = set()
+    seen: set[Tensor] = set()  # Tensor hashes by identity
     stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p, _vjp in node._edges:
-            if id(p) not in seen:
+            if p not in seen:
                 stack.append((p, False))
     return order
 
@@ -323,9 +323,10 @@ def backward(loss: Tensor) -> None:
     if loss.data.size != 1:
         raise AutodiffError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     order = _toposort(loss)
-    for node in order:
-        if not np.isfinite(node.data).all():
-            raise NonFiniteGraphError(f"non-finite values in node op={node.op!r}")
+    # one scan over every node's values; only a failure looks for the culprit
+    if not np.isfinite(np.concatenate([node.data.ravel() for node in order])).all():
+        bad = next(node for node in order if not np.isfinite(node.data).all())
+        raise NonFiniteGraphError(f"non-finite values in node op={bad.op!r}")
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
         g = node.grad
@@ -406,27 +407,31 @@ def check_gradients_params(loss_fn, params, step: float = 1e-5) -> GradCheckRepo
 
 
 class Adam:
-    """Bias-corrected Adam over a fixed parameter list, updating in place."""
+    """Bias-corrected Adam over a fixed parameter list, updating in place.
+
+    The moments `m` and `v` are flat float64 vectors over all parameters,
+    raveled in list order; parameter i owns `[offsets[i], offsets[i + 1])`.
+    Adam is elementwise, so this equals one update per parameter.
+    """
 
     def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
         self.lr = float(lr)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.offsets = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
+        self.m = np.zeros(self.offsets[-1])
+        self.v = np.zeros(self.offsets[-1])
         self.steps = 0
 
     def step(self) -> None:
         """One update from each parameter's `.grad`.
 
         A None gradient counts as zero (moments decay, and from a fresh state
-        the parameter is untouched).  Non-finite gradients raise.
+        the parameter is untouched).  A misshapen or non-finite gradient
+        raises before any parameter, moment or the step count changes.
         """
-        self.steps += 1
-        b1, b2 = self.beta1, self.beta2
-        c1 = 1.0 - b1**self.steps
-        c2 = 1.0 - b2**self.steps
-        for p, m, v in zip(self.params, self.m, self.v):
+        grads = []
+        for p in self.params:
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
@@ -434,13 +439,22 @@ class Adam:
                 g = np.asarray(g, dtype=np.float64)
                 if g.shape != p.data.shape:
                     raise AutodiffError(f"Adam: gradient shape {g.shape} != param shape {p.data.shape}")
-                if not np.isfinite(g).all():
-                    raise NonFiniteGraphError("Adam: non-finite gradient")
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            grads.append(g.ravel())
+        g = np.concatenate(grads) if grads else np.zeros(0)
+        if not np.isfinite(g).all():
+            raise NonFiniteGraphError("Adam: non-finite gradient")
+        self.steps += 1
+        b1, b2 = self.beta1, self.beta2
+        c1 = 1.0 - b1**self.steps
+        c2 = 1.0 - b2**self.steps
+        m, v = self.m, self.v
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        upd = self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        for p, lo, hi in zip(self.params, self.offsets[:-1], self.offsets[1:]):
+            p.data -= upd[lo:hi].reshape(p.data.shape)
 
     def zero_grad(self) -> None:
         for p in self.params:

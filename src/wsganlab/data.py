@@ -172,7 +172,11 @@ def save_dataset(ds: Dataset, csv_path) -> tuple[Path, Path]:
 
 def load_dataset(csv_path) -> Dataset:
     csv_path = Path(csv_path)
-    spec = read_json(_DatasetSidecar, csv_path.with_suffix(".json")).spec
+    json_path = csv_path.with_suffix(".json")
+    sidecar = read_json(_DatasetSidecar, json_path)
+    if sidecar.format_version != 1:
+        raise DataError(f"{json_path}: unsupported format_version {sidecar.format_version!r}, expected 1")
+    spec = sidecar.spec
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)

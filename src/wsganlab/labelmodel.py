@@ -491,7 +491,10 @@ def _read_votes(fh, num_lfs: int, csv_path: Path) -> np.ndarray:
 def load_label_matrix(csv_path) -> LabelMatrix:
     """Inverse of save_label_matrix; validates shape against the sidecar."""
     csv_path = Path(csv_path)
-    sidecar = read_json(_LabelMatrixSidecar, csv_path.with_suffix(".json"))
+    json_path = csv_path.with_suffix(".json")
+    sidecar = read_json(_LabelMatrixSidecar, json_path)
+    if sidecar.format_version != 1:
+        raise WeakSupError(f"{json_path}: unsupported format_version {sidecar.format_version!r}, expected 1")
     with open(csv_path, newline="") as fh:
         header = next(csv.reader([fh.readline()]))
         if header != [f"lf_{j}" for j in range(len(header))]:

@@ -218,6 +218,25 @@ def test_backward_detects_nonfinite_values():
         backward(loss)
 
 
+@pytest.mark.parametrize(
+    "build, op",
+    [
+        # exp overflows to inf; clip's output is finite, its input is not
+        (lambda x: ad.total(ad.clip(ad.exp(ad.scale(x, 1000.0)), -1.0, 1.0)), "exp"),
+        # a NaN constant makes the intermediate mul node NaN
+        (lambda x: ad.total(ad.tanh(ad.mul(x, Tensor(np.array([1.0, np.nan]))))), "mul"),
+    ],
+    ids=["inf-behind-clip", "nan-in-mul"],
+)
+def test_backward_names_first_nonfinite_node(build, op):
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = build(x)
+    with pytest.raises(NonFiniteGraphError, match=f"^non-finite values in node op='{op}'$"):
+        backward(loss)
+    assert x.grad is None
+
+
 def test_zero_grad_resets():
     x = Tensor(rand(2), requires_grad=True)
     backward(ad.total(ad.mul(x, x)))
@@ -296,3 +315,74 @@ def test_adam_wrapper_roundtrip():
     assert p.data[0] != 1.0
     opt.zero_grad()
     assert p.grad is None
+
+
+class _LoopAdam:
+    """Reference: Adam as one update per parameter, with a moment array each."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr = list(params), float(lr)
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.steps = 0
+
+    def step(self):
+        self.steps += 1
+        b1, b2 = self.beta1, self.beta2
+        c1 = 1.0 - b1**self.steps
+        c2 = 1.0 - b2**self.steps
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = np.zeros_like(p.data) if p.grad is None else np.asarray(p.grad, dtype=np.float64)
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+@pytest.mark.parametrize("lr", [0.05, 2e-4])
+def test_adam_flat_moments_match_per_parameter_loop(lr):
+    rng = np.random.default_rng(7)
+    init = [rng.standard_normal((3, 4)), rng.standard_normal(5), np.array(0.3)]
+    flat = [Tensor(a.copy(), requires_grad=True) for a in init]
+    loop = [Tensor(a.copy(), requires_grad=True) for a in init]
+    opt, ref = Adam(flat, lr=lr), _LoopAdam(loop, lr=lr)
+    for step in range(5):
+        grads = [rng.standard_normal(a.shape) * 10.0**step for a in init]
+        if step in (1, 3):
+            grads[1] = None  # the vector sits out these steps
+        for p, q, g in zip(flat, loop, grads):
+            p.grad = q.grad = g
+        opt.step()
+        ref.step()
+        for p, q in zip(flat, loop):
+            assert np.array_equal(p.data, q.data)
+        assert np.array_equal(opt.m, np.concatenate([m.ravel() for m in ref.m]))
+        assert np.array_equal(opt.v, np.concatenate([v.ravel() for v in ref.v]))
+    assert flat[2].data.shape == ()
+
+
+@pytest.mark.parametrize(
+    "bad", [np.array([np.nan]), np.array([np.inf]), np.array([1.0, 2.0])], ids=["nan", "inf", "shape"]
+)
+def test_adam_rejected_step_changes_nothing(bad):
+    a = Tensor(np.array([1.0]), requires_grad=True)
+    b = Tensor(np.array([2.0]), requires_grad=True)
+    opt = Adam([a, b], lr=0.1)
+    a.grad, b.grad = np.array([0.5]), bad
+    with pytest.raises(AutodiffError):
+        opt.step()
+    assert a.data[0] == 1.0 and b.data[0] == 2.0
+    assert opt.steps == 0 and not opt.m.any() and not opt.v.any()
+    # the next good step is a fresh optimizer's first step, bit for bit
+    b.grad = np.array([-0.25])
+    opt.step()
+    fa = Tensor(np.array([1.0]), requires_grad=True)
+    fb = Tensor(np.array([2.0]), requires_grad=True)
+    fresh = Adam([fa, fb], lr=0.1)
+    fa.grad, fb.grad = np.array([0.5]), np.array([-0.25])
+    fresh.step()
+    assert np.array_equal(a.data, fa.data) and np.array_equal(b.data, fb.data)
+    assert np.array_equal(opt.m, fresh.m) and np.array_equal(opt.v, fresh.v)
+    assert opt.steps == fresh.steps == 1

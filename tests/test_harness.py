@@ -442,9 +442,11 @@ _JSON_CASES = [
     ("dataset-sidecar", "unknown", _set("spec.colour", 1), "unknown key spec.colour"),
     ("dataset-sidecar", "missing", _set("spec", _DROP), "missing required key spec"),
     ("dataset-sidecar", "mistyped", _set("spec.sigma", "wide"), "spec.sigma must be float"),
+    ("dataset-sidecar", "version", _set("format_version", 99), "unsupported format_version 99"),
     ("lfs-sidecar", "unknown", _set("extra", 1), "unknown key extra"),
     ("lfs-sidecar", "missing", _set("num_lfs", _DROP), "missing required key num_lfs"),
     ("lfs-sidecar", "mistyped", _set("class_count", "3"), "class_count must be int"),
+    ("lfs-sidecar", "version", _set("format_version", 99), "unsupported format_version 99"),
     ("train-config", "unknown", _set("epoch", 1), "unknown key epoch"),
     ("train-config", "missing", _set("class_count", _DROP), "missing required key class_count"),
     ("train-config", "mistyped", _set("epochs", 1.5), "epochs must be int"),
