@@ -10,7 +10,7 @@ accompanying error bounds, and an experiment harness with a CLI.
 __version__ = "0.1.0"
 
 from . import autodiff, data, harness, labelmodel, metrics, nn, theory, wsgan
-from .autodiff import Adam, Tensor, backward, check_gradients, no_grad
+from .autodiff import Adam, Tensor, backward, no_grad
 from .data import Dataset, DatasetSpec, load_dataset, save_dataset, synth_dataset
 from .harness import (
     ExperimentConfig,
@@ -61,7 +61,6 @@ from .wsgan import (
     generate_samples,
     load_bundle,
     pseudolabel_table,
-    predict_pseudolabels,
     save_bundle,
     train,
 )

@@ -41,7 +41,6 @@ __all__ = [
     "AutodiffError",
     "NonFiniteGraphError",
     "GradCheckReport",
-    "check_gradients",
     "check_gradients_params",
     "Adam",
 ]
@@ -85,40 +84,11 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(op={self.op}, shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __truediv__(self, c):
-        return scale(self, 1.0 / float(c))
 
 
 def _data(x) -> np.ndarray:
@@ -348,20 +318,6 @@ class GradCheckReport:
 
     def ok(self, tol: float = 1e-4) -> bool:
         return self.max_rel_error <= tol
-
-
-def check_gradients(fn, point, step: float = 1e-5) -> GradCheckReport:
-    """Compare the tape gradient of scalar-valued `fn` against central differences.
-
-    `fn` maps one Tensor to a scalar Tensor.  The numeric pass perturbs one
-    coordinate at a time; non-finite values at any evaluation abort the check.
-    The report's arrays take the shape of `point`.
-    """
-    p = Tensor(np.array(_data(point), dtype=np.float64), requires_grad=True)
-    rep = check_gradients_params(lambda: fn(p), [p], step)
-    return GradCheckReport(
-        rep.analytic.reshape(p.shape), rep.numeric.reshape(p.shape), rep.rel_errors.reshape(p.shape), rep.max_rel_error
-    )
 
 
 def check_gradients_params(loss_fn, params, step: float = 1e-5) -> GradCheckReport:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import DataError, DatasetSpec, load_dataset, read_json, save_dataset, synth_dataset
+from .data import DataError, DatasetSpec, load_dataset, read_csv, read_json, save_dataset, synth_dataset, write_csv
 from .harness import (
     AUG_MODES,
     HarnessError,
@@ -26,12 +26,10 @@ from .harness import (
     default_benchmark_config,
     load_experiment_config,
     load_theory_grid,
-    read_csv,
     run_augmentation,
     run_benchmark,
     run_theory_suite,
     verify_benchmark_dir,
-    write_csv,
     RunManifest,
     TheoryGridConfig,
 )

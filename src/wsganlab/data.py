@@ -15,6 +15,8 @@ __all__ = [
     "DataError",
     "from_json",
     "read_json",
+    "write_csv",
+    "read_csv",
     "DatasetSpec",
     "Dataset",
     "synth_dataset",
@@ -75,6 +77,33 @@ def read_json(cls, path):
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: not valid JSON: {exc}") from exc
     return from_json(cls, obj, path)
+
+
+def _fmt(value) -> str:
+    """One CSV cell; floats as repr(), so a file is byte-stable and reads back exactly."""
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(path, header: list, rows: list) -> Path:
+    path = Path(path)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    return path
+
+
+def read_csv(path) -> tuple[list, list]:
+    with open(path) as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    header = lines[0].split(",")
+    return header, [ln.split(",") for ln in lines[1:]]
 
 
 @dataclass(frozen=True)

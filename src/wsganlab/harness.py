@@ -16,7 +16,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import Dataset, DatasetSpec, nearest_prototype_labels, read_json, save_dataset, synth_dataset
+from .data import (
+    Dataset,
+    DatasetSpec,
+    from_json,
+    nearest_prototype_labels,
+    read_csv,
+    read_json,
+    save_dataset,
+    synth_dataset,
+    write_csv,
+)
 from .labelmodel import (
     LfSpec,
     crisp_labels,
@@ -172,37 +182,14 @@ def config_hash(config) -> str:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    return read_json(ExperimentConfig, path)
-
-
-# ---------------------------------------------------------------------------
-# CSV helpers — repr() cells for byte-stable floats
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def write_csv(path, header: list, rows: list) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    return path
-
-
-def read_csv(path) -> tuple[list, list]:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
+    """The experiment config in the JSON file at `path`.  A `training` section's keys
+    are laid over the training config derived from the rest, so any may be left out."""
+    obj = read_json(dict, path)
+    training = obj.get("training")
+    if isinstance(training, dict):
+        base = from_json(ExperimentConfig, {**obj, "training": None}, path)
+        obj = {**obj, "training": {**asdict(base.training), **training}}
+    return from_json(ExperimentConfig, obj, path)
 
 
 # ---------------------------------------------------------------------------

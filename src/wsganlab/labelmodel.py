@@ -27,10 +27,8 @@ __all__ = [
     "DawidSkeneResult",
     "generate_synthetic_lfs",
     "lf_stats",
-    "coverage_filter",
     "majority_vote",
     "weighted_softmax_posterior",
-    "weighted_posterior_table",
     "crisp_labels",
     "dawid_skene_fit",
     "save_label_matrix",
@@ -194,8 +192,9 @@ class LabelMatrix:
 class PosteriorTable:
     """Per-row class posteriors plus a coverage mask.
 
-    Rows must be valid distributions; uncovered rows hold the uniform
-    distribution by convention.
+    Rows must be valid distributions.  What an uncovered row holds depends on
+    the producer: the label models give it the uniform distribution, and
+    `wsgan.pseudolabel_table` gives it the synthetic route's posterior.
     """
 
     probs: np.ndarray
@@ -300,12 +299,6 @@ def lf_stats(L, true_labels: np.ndarray) -> LfStats:
     )
 
 
-def coverage_filter(L) -> np.ndarray:
-    """Indices of rows with at least one non-abstain vote."""
-    votes, _ = _as_votes(L)
-    return np.flatnonzero((votes != 0).any(axis=1))
-
-
 def majority_vote(L, class_count: int | None = None) -> PosteriorTable:
     """Per-row vote shares: mass split uniformly over the most-voted classes.
 
@@ -337,13 +330,6 @@ def weighted_softmax_posterior(votes, weights, class_count: int) -> np.ndarray:
         raise WeakSupError(f"weights shape {w.shape} incompatible with votes {v.shape}")
     probs, _ = _softmax_rows(_scatter(_vote_index(v, class_count), w))
     return probs[0] if single else probs
-
-
-def weighted_posterior_table(L, weights, class_count: int | None = None) -> PosteriorTable:
-    votes, C = _as_votes(L, class_count)
-    probs = weighted_softmax_posterior(votes, weights, C)
-    covered = (votes != 0).any(axis=1)
-    return PosteriorTable(probs, covered)
 
 
 def crisp_labels(posteriors) -> np.ndarray:

@@ -18,8 +18,6 @@ class Linear:
         std = np.sqrt(2.0 / (in_dim + out_dim))
         self.w = ad.Tensor(weight_scale * rng.normal(0.0, std, size=(in_dim, out_dim)), requires_grad=True)
         self.b = ad.Tensor(np.zeros(out_dim), requires_grad=True)
-        self.in_dim = in_dim
-        self.out_dim = out_dim
 
     def __call__(self, x: ad.Tensor) -> ad.Tensor:
         return ad.affine(x, self.w, self.b)
@@ -39,7 +37,6 @@ class MLP:
     def __init__(self, dims: list[int], rng: np.random.Generator):
         if len(dims) < 2:
             raise ValueError("MLP needs at least an input and an output width")
-        self.dims = list(dims)
         self.layers = [Linear(a, b, rng) for a, b in zip(dims[:-1], dims[1:])]
 
     def __call__(self, x: ad.Tensor) -> ad.Tensor:

@@ -28,7 +28,6 @@ __all__ = [
     "channel_inf_norm_inverse",
     "apply_channel",
     "tv_distance",
-    "hellinger",
     "hellinger_squared",
     "random_finite_joint",
     "verify_rcgan_tv_chain",
@@ -244,11 +243,6 @@ class FiniteJoint:
     def support_size(self) -> int:
         return self.table.shape[0]
 
-    @property
-    def x_marginal(self) -> np.ndarray:
-        return self.table.sum(axis=1)
-
-
 def random_finite_joint(rng: np.random.Generator, support_size: int) -> FiniteJoint:
     """Dense random joint: exponential weights, normalized."""
     raw = rng.exponential(1.0, size=(support_size, 2))
@@ -278,16 +272,6 @@ def hellinger_squared(a: FiniteJoint, b: FiniteJoint) -> float:
     """sum (sqrt p - sqrt q)^2 over cells; ranges over [0, 2]."""
     _check_same_support(a, b)
     return float(((np.sqrt(a.table) - np.sqrt(b.table)) ** 2).sum())
-
-
-def hellinger(a: FiniteJoint, b: FiniteJoint) -> float:
-    """The squared-integral convention: identical to hellinger_squared.
-
-    The source inequalities mix squared and unsquared conventions; this
-    package standardizes on the squared integral and the verifier evaluates
-    both readings explicitly.
-    """
-    return hellinger_squared(a, b)
 
 
 # ---------------------------------------------------------------------------

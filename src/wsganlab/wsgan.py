@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam, Tensor
-from .data import read_json
+from .data import read_json, write_csv
 from .labelmodel import (
     PosteriorTable,
     _as_votes,
@@ -42,7 +42,6 @@ __all__ = [
     "TrainingHistory",
     "HISTORY_COLUMNS",
     "clamp_probs",
-    "gan_value",
     "generator_loss",
     "binary_cross_entropy",
     "info_loss",
@@ -50,7 +49,6 @@ __all__ = [
     "weighted_posterior_tensor",
     "alignment_loss",
     "train",
-    "predict_pseudolabels",
     "pseudolabel_table",
     "generate_samples",
     "BalanceReport",
@@ -124,11 +122,6 @@ class TrainingConfig:
             raise TrainingError("label_smoothing must lie in [0, 0.5)")
         if not 0.0 <= self.label_flip_prob < 0.5:
             raise TrainingError("label_flip_prob must lie in [0, 0.5)")
-
-    @property
-    def effective_align_weight(self) -> float:
-        return 0.0 if self.mode == "infogan" else self.align_weight
-
 
 class ModelBundle:
     """All networks plus their four Adam optimizers.
@@ -237,13 +230,6 @@ def _as_tensor(x) -> Tensor:
 
 def clamp_probs(p) -> Tensor:
     return ad.clip(_as_tensor(p), _CLAMP, 1.0 - _CLAMP)
-
-
-def gan_value(d_real, d_fake) -> Tensor:
-    """mean log d_real + mean log(1 - d_fake); probabilities clamped away from 0/1."""
-    real_term = ad.mean(ad.log(clamp_probs(d_real)))
-    fake_term = ad.mean(ad.log(clamp_probs(ad.sub(1.0, _as_tensor(d_fake)))))
-    return ad.add(real_term, fake_term)
 
 
 def generator_loss(d_fake) -> Tensor:
@@ -358,13 +344,7 @@ class TrainingHistory:
         return [r[i] for r in self.records]
 
     def save_csv(self, path) -> Path:
-        path = Path(path)
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(HISTORY_COLUMNS) + "\n")
-            for rec in self.records:
-                cells = [str(int(rec[0]))] + [repr(float(v)) for v in rec[1:]]
-                fh.write(",".join(cells) + "\n")
-        return path
+        return write_csv(path, HISTORY_COLUMNS, self.records)
 
 
 def _check_finite(value: float, term: str, epoch: int) -> float:
@@ -499,14 +479,6 @@ def _epoch_metrics(bundle, x, votes, covered_mask, hidden_labels) -> tuple[float
 
 # ---------------------------------------------------------------------------
 # inference
-
-
-def predict_pseudolabels(bundle: ModelBundle, x_row: np.ndarray, votes_row=None) -> tuple[np.ndarray, str]:
-    """Posterior for one sample: LF route when any vote exists, otherwise the
-    synthetic route through the code head and the code-to-label map."""
-    votes = None if votes_row is None else np.reshape(votes_row, (1, -1))
-    table = pseudolabel_table(bundle, np.reshape(x_row, (1, -1)), votes)
-    return table.probs[0], "lf" if table.covered[0] else "synthetic"
 
 
 def pseudolabel_table(bundle: ModelBundle, x: np.ndarray, L=None) -> PosteriorTable:

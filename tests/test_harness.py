@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wsganlab.cli import main
-from wsganlab.data import DatasetSpec, from_json
+from wsganlab.data import DataError, DatasetSpec, from_json, read_csv, write_csv
 from wsganlab.harness import (
     AUG_HEADER,
     BENCHMARK_MODELS,
@@ -23,13 +23,11 @@ from wsganlab.harness import (
     load_experiment_config,
     load_theory_grid,
     make_lf_applicator,
-    read_csv,
     run_augmentation,
     run_benchmark,
     run_theory_suite,
     summarize_rows,
     verify_benchmark_dir,
-    write_csv,
 )
 from wsganlab.metrics import ClassifierConfig
 from wsganlab.wsgan import TrainingConfig
@@ -96,6 +94,21 @@ def test_experiment_config_rejects_unknown_metric():
         tiny_config(metrics=("covered_accuracy", "mystery"))
     with pytest.raises(HarnessError):
         tiny_config(seeds=())
+
+
+def test_training_section_may_omit_dimension_fields(tmp_path):
+    explicit = tiny_config()
+    raw = dataclasses.asdict(explicit)
+    raw["training"] = {"epochs": 2, "batch_size": 16}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    loaded = load_experiment_config(path)
+    assert loaded == explicit
+    assert config_hash(loaded) == config_hash(explicit)
+    raw["training"] = {"epoch": 2}
+    path.write_text(json.dumps(raw))
+    with pytest.raises(DataError, match="unknown key training.epoch$"):
+        load_experiment_config(path)
 
 
 def test_config_dict_roundtrip_preserves_hash():
@@ -453,8 +466,7 @@ _JSON_CASES = [
     ("benchmark-config", "unknown", _set("seed", [7]), "unknown key seed"),
     ("benchmark-config", "mistyped", _set("seeds", 11), "seeds must be tuple"),
     ("benchmark-config", "nested-unknown", _set("training.epoch", 1), "unknown key training.epoch"),
-    ("benchmark-config", "nested-missing", _set("training.class_count", _DROP),
-     "missing required key training.class_count"),
+    ("benchmark-config", "training-mistyped", _set("training.epochs", 1.5), "training.epochs must be int"),
     ("benchmark-config", "nested-mistyped", _set("lf_plan.num_lfs", "5"), "lf_plan.num_lfs must be int"),
     ("augment-manifest", "unknown", _set("extra", 1), "unknown key extra"),
     ("augment-manifest", "missing", _set("config_hash", _DROP), "missing required key config_hash"),

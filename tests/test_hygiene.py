@@ -1,19 +1,25 @@
-"""Source hygiene: every name a package module imports is used in it, and
-the package runs on numpy alone.
+"""Source hygiene: every name a package module imports is used in it, every
+name it exports has a user outside the tests, and the package runs on numpy
+alone.
 
-`__init__.py` is exempt from the import check because its imports are the
+`__init__.py` is exempt from both name checks because its imports are the
 package's re-exports.
 """
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "wsganlab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "wsganlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+sys.path.insert(0, str(ROOT / "bench"))
+import spans  # noqa: E402
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,6 +44,106 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _exports(tree) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def _own_loads(tree) -> set[str]:
+    """Names a module loads outside the top-level statement that defines them."""
+    used = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            defined = {stmt.name}
+        else:
+            defined = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        used |= {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} - defined
+    return used
+
+
+def _package_uses(tree, init_exports: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, name) pairs a file imports from the package or reads as `module.name`.
+
+    A name imported from the package root is credited to the module it is
+    re-exported from; attribute reads count only on names bound to a package
+    module, so `np.exp` is not a use of `autodiff.exp`.
+    """
+    uses, aliases = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = node.module or ""
+            elif (node.module or "").split(".")[0] == "wsganlab":
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            for alias in node.names:
+                if module:
+                    uses.add((module, alias.name))
+                elif alias.name in init_exports:
+                    uses.add((init_exports[alias.name], alias.name))
+                else:  # a submodule
+                    aliases[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("wsganlab.") and alias.asname:
+                    aliases[alias.asname] = alias.name.split(".", 1)[1]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            uses.add((aliases[node.value.id], node.attr))
+    return uses
+
+
+def unused_exports(modules: dict[str, str], init: str, users: list[str], targets, readme: str) -> list[str]:
+    """`module.name` for each `__all__` name of `modules` (name -> source) with no user.
+
+    A user is an import or `module.name` read in another package module or in
+    one of the `users` sources, a (module, attribute) pair in `targets`, a load
+    in its own module outside its own definition, or a backticked README mention.
+    """
+    init_exports = {}
+    for node in ast.parse(init).body:
+        if isinstance(node, ast.ImportFrom) and node.level and node.module:
+            init_exports.update({alias.name: node.module for alias in node.names})
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    credited = {(module, attr.split(".")[0]) for module, attr in targets}
+    for tree in list(trees.values()) + [ast.parse(source) for source in users]:
+        credited |= _package_uses(tree, init_exports)
+    mentioned = {word for span in re.findall(r"`([^`\n]+)`", readme) for word in re.findall(r"\w+", span)}
+    missing = []
+    for module, tree in trees.items():
+        own = {(module, name) for name in _own_loads(tree)}
+        for name in _exports(tree):
+            if (module, name) not in credited | own and name not in mentioned:
+                missing.append(f"{module}.{name}")
+    return missing
+
+
+def test_unused_export_detector():
+    modules = {
+        "autodiff": "__all__ = ['exp', 'log', 'Adam', 'helper', 'lonely', 'shown', 'dead']\n"
+        "def helper(): pass\ndef exp(): pass\ndef log(): pass\nclass Adam: pass\n"
+        "def lonely(): return lonely()\ndef shown(): pass\ndef dead(): pass\n"
+        "def unexported(): return helper()\n",
+        "nn": "from . import autodiff as ad\n__all__ = ['Net']\nclass Net: pass\nad.log\n",
+    }
+    init = "from .autodiff import dead, exp\nfrom .nn import Net\n"
+    users = ["import numpy as np\nfrom wsganlab import Net\nnp.exp\nnp.lonely\n"]
+    readme = "the `wsganlab.autodiff.shown` op, ```bash\nlonely\n```\n"
+    got = unused_exports(modules, init, users, [("autodiff", "Adam.step")], readme)
+    assert got == ["autodiff.exp", "autodiff.lonely", "autodiff.dead"]
+
+
+def test_every_export_has_a_user():
+    modules = {p.stem: p.read_text() for p in MODULES}
+    users = [p.read_text() for d in ("demos", "bench") for p in sorted((ROOT / d).glob("*.py"))]
+    targets = [(module, attr) for _name, module, attr, _hook in spans.TARGETS]
+    init, readme = (SRC / "__init__.py").read_text(), (ROOT / "README.md").read_text()
+    assert unused_exports(modules, init, users, targets, readme) == []
 
 
 def test_cli_import_leaves_scipy_out():

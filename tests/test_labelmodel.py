@@ -18,7 +18,6 @@ from wsganlab.labelmodel import (
     LfSpec,
     PosteriorTable,
     WeakSupError,
-    coverage_filter,
     crisp_labels,
     dawid_skene_fit,
     generate_synthetic_lfs,
@@ -26,7 +25,6 @@ from wsganlab.labelmodel import (
     load_label_matrix,
     majority_vote,
     save_label_matrix,
-    weighted_posterior_table,
     weighted_softmax_posterior,
 )
 
@@ -169,16 +167,10 @@ def test_weighted_softmax_per_row_weights_and_single_row():
     assert np.allclose(single, probs[0])
 
 
-def test_weighted_posterior_table_and_crisp_ties():
+def test_crisp_labels_break_weighted_softmax_ties_low():
     votes = np.array([[1, 2], [0, 0]])
-    table = weighted_posterior_table(votes, np.ones(2), 3)
-    assert not table.covered[1]
-    assert crisp_labels(table).tolist() == [1, 1]  # tie -> lowest class index
-
-
-def test_coverage_filter():
-    votes = np.array([[0, 0], [1, 0], [0, 0], [0, 2]])
-    assert coverage_filter(votes).tolist() == [1, 3]
+    probs = weighted_softmax_posterior(votes, np.ones(2), 3)
+    assert crisp_labels(probs).tolist() == [1, 1]  # tie -> lowest class index
 
 
 def test_posterior_table_validation():

@@ -26,12 +26,10 @@ from wsganlab.wsgan import (
     binary_cross_entropy,
     class_balance_check,
     cross_entropy,
-    gan_value,
     generate_samples,
     generator_loss,
     info_loss,
     load_bundle,
-    predict_pseudolabels,
     pseudolabel_table,
     save_bundle,
     train,
@@ -86,8 +84,6 @@ def test_config_validation():
         small_config(lr_d=0.0)
     with pytest.raises(TrainingError):
         small_config(align_weight=-1.0)
-    assert small_config(mode="infogan").effective_align_weight == 0.0
-    assert small_config(mode="encoder", align_weight=0.7).effective_align_weight == 0.7
 
 
 def test_bundle_init_identical_across_modes():
@@ -129,14 +125,6 @@ def test_param_groups_disjoint_roles():
 
 # ---------------------------------------------------------------------------
 # loss oracles
-
-
-def test_gan_value_oracle():
-    d_real = np.array([0.9, 0.7])
-    d_fake = np.array([0.4, 0.2])
-    got = float(gan_value(d_real, d_fake).data)
-    want = np.mean(np.log(d_real)) + np.mean(np.log(1 - d_fake))
-    assert np.isclose(got, want, atol=1e-12)
 
 
 def test_generator_loss_oracle_and_clamp():
@@ -419,18 +407,18 @@ def test_predict_routes_lf_vs_synthetic():
     data, L = small_problem()
     bundle, _ = train(data, L, small_config())
     covered = np.flatnonzero((L.votes != 0).any(axis=1))[0]
-    probs, tag = predict_pseudolabels(bundle, data.features[covered], L.votes[covered])
-    assert tag == "lf"
+    table = pseudolabel_table(bundle, data.features[covered : covered + 1], L.votes[covered : covered + 1])
+    assert table.covered.tolist() == [True]  # the LF route
     with ad.no_grad():
         if bundle.config.mode == "vector":
             w = 1 / (1 + np.exp(-bundle.weight_vector.data))
         else:
             w = bundle.lf_weights(bundle.features(Tensor(data.features[covered : covered + 1]))).data[0]
     want = weighted_softmax_posterior(L.votes[covered], w, 3)
-    assert np.allclose(probs, want, atol=1e-12)
-    probs2, tag2 = predict_pseudolabels(bundle, data.features[0], np.zeros(4, dtype=int))
-    assert tag2 == "synthetic"
-    assert np.isclose(probs2.sum(), 1.0)
+    assert np.allclose(table.probs[0], want, atol=1e-12)
+    table2 = pseudolabel_table(bundle, data.features[:1], np.zeros((1, 4), dtype=int))
+    assert table2.covered.tolist() == [False]  # the synthetic route
+    assert np.isclose(table2.probs[0].sum(), 1.0)
 
 
 def test_pseudolabel_table_partitions_by_coverage():
@@ -443,8 +431,8 @@ def test_pseudolabel_table_partitions_by_coverage():
     assert np.allclose(table.probs.sum(axis=1), 1.0)
     # batch path agrees with the single-row path
     i = int(np.flatnonzero(covered)[3])
-    single, _ = predict_pseudolabels(bundle, data.features[i], L.votes[i])
-    assert np.allclose(table.probs[i], single, atol=1e-12)
+    single = pseudolabel_table(bundle, data.features[i : i + 1], L.votes[i : i + 1])
+    assert np.allclose(table.probs[i], single.probs[0], atol=1e-12)
 
 
 def test_generate_samples_deterministic_and_fixed_class():
