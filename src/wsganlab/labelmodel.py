@@ -435,18 +435,41 @@ class _LabelMatrixSidecar:
     lf_specs: list[LfSpec] | None = None
 
 
+_CSV_BLOCK_ROWS = 16_384  # rows encoded per write, so transient memory is O(block)
+
+
+def _cell_table(class_count: int, end: bytes) -> np.ndarray:
+    """Item v holds the bytes of str(v) + end, NUL-padded to the longest item.
+
+    The items are numpy voids, which a gather copies as raw bytes.
+    """
+    cells = np.array([str(v).encode() + end for v in range(class_count + 1)])
+    return cells.view(f"V{cells.itemsize}")
+
+
 def save_label_matrix(lm: LabelMatrix, csv_path) -> tuple[Path, Path]:
     """Write votes as CSV (header lf_0..lf_{m-1}) plus a JSON sidecar.
 
-    The sidecar records class_count, matrix shape, and per-LF specs when the
-    matrix came from the synthetic generator.  Returns (csv_path, json_path).
+    The CSV holds the bytes `csv.writer` would write.  Each block of rows is
+    one gather from a table of vote texts, NUL padding dropped.  The sidecar
+    records class_count, matrix shape, and per-LF specs when the matrix came
+    from the synthetic generator.  Returns (csv_path, json_path).
     """
     csv_path = Path(csv_path)
     json_path = csv_path.with_suffix(".json")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"lf_{j}" for j in range(lm.num_lfs)])
-        writer.writerows(lm.votes.tolist())
+    votes, C = lm.votes, lm.class_count
+    if votes.size and (votes.min() < 0 or votes.max() > C):  # the gather would wrap a negative vote
+        raise WeakSupError(f"cannot write {csv_path}: votes outside 0..{C}")
+    n, m = votes.shape
+    sep, end = _cell_table(C, b","), _cell_table(C, b"\r\n")
+    with open(csv_path, "wb") as fh:
+        fh.write(",".join(f"lf_{j}" for j in range(m)).encode() + b"\r\n")
+        if not m:  # csv.writer writes an empty row as a bare line end
+            fh.write(b"\r\n" * n)
+        for start in range(0, n, _CSV_BLOCK_ROWS):
+            block = votes[start:start + _CSV_BLOCK_ROWS]
+            text = np.concatenate((sep[block[:, :-1]].view(np.uint8), end[block[:, -1:]].view(np.uint8)), axis=1)
+            fh.write(text[text != 0] if C > 9 else text)  # one-digit votes need no padding
     sidecar = _LabelMatrixSidecar(1, lm.class_count, lm.num_lfs, lm.num_samples, lm.lf_specs)
     with open(json_path, "w") as fh:
         json.dump(asdict(sidecar), fh, indent=2)

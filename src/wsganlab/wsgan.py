@@ -644,9 +644,7 @@ def save_bundle(bundle: ModelBundle, path, rng_state: dict | None = None) -> Pat
         "params": {name: t.data.tolist() for name, t in bundle.named_params()},
         "rng_state": rng_state,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    path.write_text(json.dumps(payload) + "\n")  # dumps, unlike dump, runs the C encoder
     return path
 
 

@@ -4,14 +4,19 @@ The Dawid-Skene check re-derives every EM iteration with an independent dense
 implementation (explicit per-row products in probability space via logs) and
 compares trajectories, rather than only endpoints.
 """
+import csv
+import io
 import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wsganlab.labelmodel import (
+    _CSV_BLOCK_ROWS,
     DegenerateLabelMatrixWarning,
     InfeasibleLfSpecError,
     LabelMatrix,
@@ -335,6 +340,62 @@ def test_load_rejects_malformed_csv(tmp_path, bad_row):
     csv_path.write_text("\n".join(lines) + "\n")
     with pytest.raises(WeakSupError, match="lm.csv"):
         load_label_matrix(csv_path)
+
+
+def csv_writer_bytes(votes):
+    """The label-matrix CSV as `csv.writer` writes it, row by row."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow([f"lf_{j}" for j in range(votes.shape[1])])
+    writer.writerows(votes.tolist())
+    return buf.getvalue().encode()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    C=st.integers(2, 12),
+    n=st.integers(0, 20) | st.just(_CSV_BLOCK_ROWS + 1),
+    m=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(C=12, n=_CSV_BLOCK_ROWS + 1, m=3, seed=0)
+@example(C=10, n=7, m=1, seed=1)
+@example(C=2, n=0, m=4, seed=2)
+@example(C=12, n=5, m=0, seed=3)
+def test_label_matrix_csv_matches_csv_writer(tmp_path_factory, C, n, m, seed):
+    votes = np.random.default_rng(seed).integers(0, C + 1, size=(n, m))
+    csv_path = tmp_path_factory.mktemp("csv") / "lm.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateLabelMatrixWarning)
+        save_label_matrix(LabelMatrix(votes, C), csv_path)
+        back = load_label_matrix(csv_path)
+    assert csv_path.read_bytes() == csv_writer_bytes(votes)
+    assert back.class_count == C and back.votes.shape == votes.shape and (back.votes == votes).all()
+
+
+@pytest.mark.parametrize("bad_vote", ["negative", "above C"])
+def test_save_rejects_votes_outside_range(tmp_path, bad_vote):
+    L = LabelMatrix(np.array([[1, 0], [0, 2], [3, 3]]), 3)
+    L.votes[0, 0] = -1 if bad_vote == "negative" else L.class_count + 1
+    csv_path = tmp_path / "lm.csv"
+    with pytest.raises(WeakSupError, match="lm.csv"):
+        save_label_matrix(L, csv_path)
+    assert not csv_path.exists()
+
+
+def test_save_label_matrix_memory_is_bounded_by_block(tmp_path):
+    # rows are encoded one block at a time, so the traced peak is a fraction
+    # of the int64 votes however many rows there are
+    n, m, C = 100_000, 40, 8
+    rng = np.random.default_rng(0)
+    L = LabelMatrix(np.where(rng.random((n, m)) < 0.125, rng.integers(1, C + 1, size=(n, m)), 0), C)
+    tracemalloc.start()
+    try:
+        save_label_matrix(L, tmp_path / "lm.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * L.votes.nbytes, f"peak {peak / L.votes.nbytes:.2f}x votes.nbytes"
 
 
 def test_dawid_skene_memory_scales_with_votes():
