@@ -28,7 +28,7 @@ L = generate_synthetic_lfs(data.labels, specs, 4)
 mv_acc = pseudolabel_accuracy(majority_vote(L), data.labels)
 print(f"majority-vote covered accuracy to beat: {mv_acc:.4f}\n")
 
-base = TrainingConfig(class_count=4, num_lfs=12, feature_dim=2, epochs=40, seed=7)
+base = TrainingConfig(epochs=40, seed=7)
 for mode in ("infogan", "vector", "encoder"):
     config = dataclasses.replace(base, mode=mode)
     bundle, history = train(data, L, config)

@@ -31,7 +31,7 @@ test = synth_dataset(DatasetSpec(class_count=4, feature_dim=2, num_samples=1500,
 lf_specs = LfPlan(num_lfs=10).sample(4, np.random.default_rng(5))
 L = generate_synthetic_lfs(data.labels, lf_specs, 4)
 
-config = TrainingConfig(class_count=4, num_lfs=10, feature_dim=2, mode="encoder", epochs=30, seed=8)
+config = TrainingConfig(mode="encoder", epochs=30, seed=8)
 bundle, _ = train(data, L, config)
 
 feats, codes = generate_samples(bundle, 600, seed=9)

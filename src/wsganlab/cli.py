@@ -24,12 +24,11 @@ from .harness import (
     LfPlan,
     config_hash,
     default_benchmark_config,
-    load_experiment_config,
-    load_theory_grid,
     run_augmentation,
     run_benchmark,
     run_theory_suite,
     verify_benchmark_dir,
+    ExperimentConfig,
     RunManifest,
     TheoryGridConfig,
 )
@@ -190,14 +189,7 @@ def _cmd_fit_labelmodel(args) -> int:
 def _cmd_train(args) -> int:
     data = load_dataset(args.dataset)
     L = load_label_matrix(args.lfs)
-    if args.config:
-        config = read_json(TrainingConfig, args.config)
-    else:
-        config = TrainingConfig(
-            class_count=data.spec.class_count,
-            num_lfs=L.votes.shape[1],
-            feature_dim=data.spec.feature_dim,
-        )
+    config = read_json(TrainingConfig, args.config) if args.config else TrainingConfig()
     overrides = {}
     if args.mode is not None:
         overrides["mode"] = args.mode
@@ -216,7 +208,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    config = load_experiment_config(args.config) if args.config else default_benchmark_config()
+    config = read_json(ExperimentConfig, args.config) if args.config else default_benchmark_config()
     out_dir = _out_root(args) / args.dir_name
     manifest = run_benchmark(config, out_dir)
     print(f"benchmark {config_hash(config)[:12]} -> {out_dir}")
@@ -228,9 +220,9 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    config = load_experiment_config(args.config) if args.config else default_benchmark_config()
+    config = read_json(ExperimentConfig, args.config) if args.config else default_benchmark_config()
     modes = list(AUG_MODES) if args.mode == "both" else [args.mode]
-    manifest = RunManifest.load_json(args.manifest) if args.manifest else None
+    manifest = read_json(RunManifest, args.manifest) if args.manifest else None
     out_dir = _out_root(args) / args.dir_name
     rows = run_augmentation(config, n_synth=args.n_synth, modes=modes, out_dir=out_dir, manifest=manifest)
     print(f"wrote {out_dir / 'augmentation.csv'}")
@@ -241,7 +233,7 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    grid = load_theory_grid(args.grid) if args.grid else TheoryGridConfig()
+    grid = read_json(TheoryGridConfig, args.grid) if args.grid else TheoryGridConfig()
     out_dir = _out_root(args) / args.dir_name
     report = run_theory_suite(grid, out_dir)
     print(report.to_text())

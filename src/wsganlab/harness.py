@@ -19,10 +19,8 @@ from . import __version__
 from .data import (
     Dataset,
     DatasetSpec,
-    from_json,
     nearest_prototype_labels,
     read_csv,
-    read_json,
     save_dataset,
     synth_dataset,
     write_csv,
@@ -79,8 +77,6 @@ __all__ = [
     "summarize_rows",
     "run_theory_suite",
     "run_augmentation",
-    "load_experiment_config",
-    "load_theory_grid",
     "verify_benchmark_dir",
     "BENCHMARK_MODELS",
     "METRIC_NAMES",
@@ -153,7 +149,7 @@ class LfPlan:
 class ExperimentConfig:
     dataset: DatasetSpec = DatasetSpec()
     lf_plan: LfPlan = LfPlan()
-    training: TrainingConfig | None = None
+    training: TrainingConfig = TrainingConfig()
     seeds: tuple[int, ...] = (101, 102, 103)
     metrics: tuple[str, ...] = METRIC_NAMES
     classifier: ClassifierConfig = ClassifierConfig()
@@ -164,11 +160,6 @@ class ExperimentConfig:
         bad = [m for m in self.metrics if m not in METRIC_NAMES]
         if bad:
             raise HarnessError(f"unknown metrics {bad}; choose from {METRIC_NAMES}")
-        # dimension fields are derived from the dataset and LF plan
-        dims = {"class_count": self.dataset.class_count, "num_lfs": self.lf_plan.num_lfs,
-                "feature_dim": self.dataset.feature_dim}
-        training = TrainingConfig(**dims) if self.training is None else dataclasses.replace(self.training, **dims)
-        object.__setattr__(self, "training", training)
 
 
 def default_benchmark_config() -> ExperimentConfig:
@@ -179,17 +170,6 @@ def default_benchmark_config() -> ExperimentConfig:
 def config_hash(config) -> str:
     canon = json.dumps(asdict(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def load_experiment_config(path) -> ExperimentConfig:
-    """The experiment config in the JSON file at `path`.  A `training` section's keys
-    are laid over the training config derived from the rest, so any may be left out."""
-    obj = read_json(dict, path)
-    training = obj.get("training")
-    if isinstance(training, dict):
-        base = from_json(ExperimentConfig, {**obj, "training": None}, path)
-        obj = {**obj, "training": {**asdict(base.training), **training}}
-    return from_json(ExperimentConfig, obj, path)
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +192,6 @@ class RunManifest:
             json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
         return path
-
-    @staticmethod
-    def load_json(path) -> "RunManifest":
-        return read_json(RunManifest, path)
 
 
 def _metric_row(seed, model, table, ari_value, data: Dataset, gen_feats, config) -> list:
@@ -360,10 +336,6 @@ class TheoryGridConfig:
     max_support: int = 32
     hellinger_pairs: int = 1000
     seed: int = 7
-
-
-def load_theory_grid(path) -> TheoryGridConfig:
-    return read_json(TheoryGridConfig, path)
 
 
 def run_theory_suite(grid: TheoryGridConfig | None = None, out_dir=None) -> TheoryReport:

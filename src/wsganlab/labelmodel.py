@@ -318,18 +318,15 @@ def majority_vote(L, class_count: int | None = None) -> PosteriorTable:
 def weighted_softmax_posterior(votes, weights, class_count: int) -> np.ndarray:
     """Softmax over per-class weighted vote scores.
 
-    score_k = sum_j weights_j * 1{vote_j == k}.  Accepts a single row (m,) or
-    a batch (n, m); weights may be shared (m,) or per-row (n, m).  A row with
-    no votes scores zero everywhere and comes out uniform.
+    score_k = sum_j weights_j * 1{vote_j == k}.  `votes` is an (n, m) batch;
+    weights may be shared (m,) or per-row (n, m).  A row with no votes scores
+    zero everywhere and comes out uniform.
     """
-    votes = np.asarray(votes, dtype=np.int64)
-    single = votes.ndim == 1
-    v = votes[None, :] if single else votes
+    votes, C = _as_votes(votes, class_count)
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape not in (v.shape, v.shape[1:]):
-        raise WeakSupError(f"weights shape {w.shape} incompatible with votes {v.shape}")
-    probs, _ = _softmax_rows(_scatter(_vote_index(v, class_count), w))
-    return probs[0] if single else probs
+    if w.shape not in (votes.shape, votes.shape[1:]):
+        raise WeakSupError(f"weights shape {w.shape} incompatible with votes {votes.shape}")
+    return _softmax_rows(_scatter(_vote_index(votes, C), w))[0]
 
 
 def crisp_labels(posteriors) -> np.ndarray:
@@ -357,7 +354,6 @@ def dawid_skene_fit(
     class_count: int | None = None,
     max_iters: int = 200,
     tol: float = 1e-6,
-    update_prior: bool = True,
 ) -> DawidSkeneResult:
     """One-coin Dawid-Skene EM.
 
@@ -403,10 +399,9 @@ def dawid_skene_fit(
         with np.errstate(invalid="ignore", divide="ignore"):
             new_acc = np.where(vote_counts > 0, agree_weight / np.maximum(vote_counts, 1), acc)
         acc = np.clip(new_acc, 1e-4, 1.0 - 1e-4)
-        if update_prior:
-            prior = posteriors.mean(axis=0)
-            prior = np.clip(prior, 1e-9, None)
-            prior = prior / prior.sum()
+        prior = posteriors.mean(axis=0)
+        prior = np.clip(prior, 1e-9, None)
+        prior = prior / prior.sum()
 
     if not converged:
         warnings.warn(f"Dawid-Skene did not converge in {max_iters} iterations", RuntimeWarning)

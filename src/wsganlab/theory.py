@@ -219,7 +219,7 @@ def channel_inf_norm_inverse(eps: float) -> float:
     return 1.0 / (1.0 - 2.0 * eps)
 
 
-@dataclass(frozen=True)
+@dataclass
 class FiniteJoint:
     """Distribution over (x, y) with finite x-support and y in {0, 1}.
 
@@ -230,8 +230,7 @@ class FiniteJoint:
     table: np.ndarray
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=np.float64)
-        object.__setattr__(self, "table", table)
+        self.table = table = np.asarray(self.table, dtype=np.float64)
         if table.ndim != 2 or table.shape[1] != 2:
             raise TheoryError(f"joint table must be (support, 2), got {table.shape}")
         if table.min() < 0.0:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam, Tensor
-from .data import read_json, write_csv
+from .data import from_json, read_json, write_csv
 from .labelmodel import (
     PosteriorTable,
     _as_votes,
@@ -83,9 +83,6 @@ class AugmentationRejectedError(TrainingError):
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    class_count: int
-    num_lfs: int
-    feature_dim: int
     mode: str = "encoder"
     z_dim: int = 16
     hidden_dim: int = 64
@@ -105,10 +102,8 @@ class TrainingConfig:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise TrainingError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.class_count < 2:
-            raise TrainingError("class_count must be >= 2")
-        if self.num_lfs < 1 or self.feature_dim < 1 or self.z_dim < 1 or self.hidden_dim < 1:
-            raise TrainingError("num_lfs, feature_dim, z_dim, hidden_dim must be >= 1")
+        if self.z_dim < 1 or self.hidden_dim < 1:
+            raise TrainingError("z_dim and hidden_dim must be >= 1")
         if self.epochs < 0 or self.batch_size < 1:
             raise TrainingError("epochs must be >= 0 and batch_size >= 1")
         for name in ("lr_d", "lr_g", "lr_info", "lr_align"):
@@ -124,7 +119,8 @@ class TrainingConfig:
             raise TrainingError("label_flip_prob must lie in [0, 0.5)")
 
 class ModelBundle:
-    """All networks plus their four Adam optimizers.
+    """All networks plus their four Adam optimizers, sized by the data: C
+    classes (one latent code per class), m LFs and d feature dimensions.
 
     Initialization consumes draws from `rng` in a fixed order — generator
     layers, trunk layers, discriminator head, code head, weight head, the two
@@ -133,11 +129,17 @@ class ModelBundle:
     mode) starts at zero, i.e. weights sigmoid(0) = 0.5, and draws nothing.
     """
 
-    def __init__(self, config: TrainingConfig, rng: np.random.Generator):
+    def __init__(self, config: TrainingConfig, class_count: int, num_lfs: int, feature_dim: int,
+                 rng: np.random.Generator):
+        if class_count < 2 or num_lfs < 1 or feature_dim < 1:
+            raise TrainingError(
+                f"need >= 2 classes, >= 1 LF and >= 1 feature dimension, got {class_count}, {num_lfs}, {feature_dim}"
+            )
         self.config = config
-        C, H, m = config.class_count, config.hidden_dim, config.num_lfs
-        self.generator = MLP([config.z_dim + C, H, H, config.feature_dim], rng)
-        self.trunk = MLP([config.feature_dim, H, H], rng)
+        self.class_count, self.num_lfs, self.feature_dim = class_count, num_lfs, feature_dim
+        C, H, m = class_count, config.hidden_dim, num_lfs
+        self.generator = MLP([config.z_dim + C, H, H, feature_dim], rng)
+        self.trunk = MLP([feature_dim, H, H], rng)
         self.disc_head = Linear(H, 1, rng)
         self.code_head = Linear(H, C, rng)
         # near-zero head: weights start at sigmoid(~0) = 0.5 so the label
@@ -210,7 +212,7 @@ class ModelBundle:
         return ad.sigmoid(self.weight_head(feats))
 
     def generate(self, z: np.ndarray, codes: np.ndarray) -> Tensor:
-        zc = np.concatenate([z, one_hot(codes, self.config.class_count)], axis=1)
+        zc = np.concatenate([z, one_hot(codes, self.class_count)], axis=1)
         return self.generator(Tensor(zc))
 
     def label_posterior_from_code(self, code_probs: Tensor) -> Tensor:
@@ -298,7 +300,7 @@ def alignment_loss(
         raise TrainingError("empty alignment batch; caller must skip the step")
     if not (votes_batch != 0).any(axis=1).all():
         raise TrainingError("alignment batch contains uncovered rows")
-    C = bundle.config.class_count
+    C = bundle.class_count
 
     feats = bundle.features(Tensor(x_batch))
     code_probs = bundle.code_posterior(feats)
@@ -364,9 +366,10 @@ def train(dataset, L, config: TrainingConfig) -> tuple[ModelBundle, TrainingHist
     step 2, generator inputs for step 3; the alignment step draws nothing, so
     an encoder run with align_weight=0 reproduces an infogan run bitwise.
 
-    The hidden dataset labels are used only for the per-epoch history metrics
-    (ARI of the code head, covered-row pseudolabel accuracy), never in any
-    gradient path.
+    The class count C comes from `dataset.spec`, the LF count from the vote
+    columns and the feature dimension from the feature columns.  The hidden
+    dataset labels are used only for the per-epoch history metrics (ARI of the
+    code head, covered-row pseudolabel accuracy), never in any gradient path.
     """
     x = np.asarray(dataset.features, dtype=np.float64)
     hidden_labels = np.asarray(dataset.labels, dtype=np.int64)
@@ -375,16 +378,14 @@ def train(dataset, L, config: TrainingConfig) -> tuple[ModelBundle, TrainingHist
     votes, _ = _as_votes(L)
     if votes.shape[0] != x.shape[0]:
         raise TrainingError("label matrix rows must match dataset rows")
-    if x.shape[1] != config.feature_dim or votes.shape[1] != config.num_lfs:
-        raise TrainingError("config dims disagree with data")
     covered_mask = (votes != 0).any(axis=1)
     if config.mode != "infogan" and not covered_mask.any():
         raise TrainingError("alignment modes need at least one covered row")
 
     rng = np.random.default_rng(config.seed)
-    bundle = ModelBundle(config, rng)
+    n, C, B = x.shape[0], dataset.spec.class_count, config.batch_size
+    bundle = ModelBundle(config, C, votes.shape[1], x.shape[1], rng)
     history = TrainingHistory()
-    n, C, B = x.shape[0], config.class_count, config.batch_size
     smoothing = config.label_smoothing
     real_target, fake_target = 1.0 - smoothing, smoothing
     align_active = config.mode != "infogan"
@@ -488,8 +489,8 @@ def pseudolabel_table(bundle: ModelBundle, x: np.ndarray, L=None) -> PosteriorTa
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
-    C = bundle.config.class_count
-    votes = _as_votes(L)[0] if L is not None else np.zeros((n, bundle.config.num_lfs), dtype=np.int64)
+    C = bundle.class_count
+    votes = _as_votes(L)[0] if L is not None else np.zeros((n, bundle.num_lfs), dtype=np.int64)
     if votes.shape[0] != n:
         raise TrainingError("label matrix rows must match features")
     covered = (votes != 0).any(axis=1)
@@ -510,9 +511,9 @@ def generate_samples(
     """Draw (features, codes): z first, then codes (uniform unless fixed)."""
     if n < 0:
         raise TrainingError("n must be >= 0")
-    C = bundle.config.class_count
+    C = bundle.class_count
     if n == 0:
-        return np.empty((0, bundle.config.feature_dim)), np.empty(0, dtype=np.int64)
+        return np.empty((0, bundle.feature_dim)), np.empty(0, dtype=np.int64)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, bundle.config.z_dim))
     if class_id is None:
@@ -602,12 +603,12 @@ def augment_dataset(
     else:
         rng = np.random.default_rng((seed, 1))
         votes = np.asarray(lf_applicator(feats, rng), dtype=np.int64)
-        if votes.shape != (n_synth, bundle.config.num_lfs):
+        if votes.shape != (n_synth, bundle.num_lfs):
             raise TrainingError(f"lf_applicator returned shape {votes.shape}")
         table = pseudolabel_table(bundle, feats, votes)
     new_labels = crisp_labels(table)
 
-    balance = class_balance_check(new_labels, bundle.config.class_count, balance_tolerance)
+    balance = class_balance_check(new_labels, bundle.class_count, balance_tolerance)
     if not balance.passed:
         raise AugmentationRejectedError(balance)
     return AugmentationResult(
@@ -623,6 +624,9 @@ def augment_dataset(
 # checkpointing
 
 
+_CHECKPOINT_VERSION = 2
+
+
 @dataclass(frozen=True)
 class _Checkpoint:
     format_version: int
@@ -634,12 +638,13 @@ class _Checkpoint:
 def save_bundle(bundle: ModelBundle, path, rng_state: dict | None = None) -> Path:
     """Versioned JSON checkpoint: config, every parameter array, RNG state.
 
-    Optimizer moments are not serialized; a loaded bundle restarts its
-    optimizers fresh.
+    The network sizes are not stored: `load_bundle` reads them off the
+    parameter shapes.  Optimizer moments are not serialized; a loaded bundle
+    restarts its optimizers fresh.
     """
     path = Path(path)
     payload = {
-        "format_version": 1,
+        "format_version": _CHECKPOINT_VERSION,
         "config": asdict(bundle.config),
         "params": {name: t.data.tolist() for name, t in bundle.named_params()},
         "rng_state": rng_state,
@@ -649,10 +654,16 @@ def save_bundle(bundle: ModelBundle, path, rng_state: dict | None = None) -> Pat
 
 
 def load_bundle(path) -> tuple[ModelBundle, dict | None]:
-    ckpt = read_json(_Checkpoint, path)
-    if ckpt.format_version != 1:
-        raise TrainingError(f"unsupported checkpoint version {ckpt.format_version!r}")
-    bundle = ModelBundle(ckpt.config, np.random.default_rng(0))
+    obj = read_json(dict, path)
+    version = obj.get("format_version")
+    if version != _CHECKPOINT_VERSION:
+        raise TrainingError(f"checkpoint {path}: unsupported format_version {version!r}, expected {_CHECKPOINT_VERSION}")
+    ckpt = from_json(_Checkpoint, obj, path)
+    try:  # C, m and d: the code head bias, the LF weight vector, the first trunk layer's rows
+        sizes = [len(ckpt.params[name]) for name in ("code_head.b", "weight_vector", "trunk.0.w")]
+    except KeyError as exc:
+        raise TrainingError(f"checkpoint {path}: missing params [{exc.args[0]!r}]") from None
+    bundle = ModelBundle(ckpt.config, *sizes, np.random.default_rng(0))
     named = dict(bundle.named_params())
     if named.keys() != ckpt.params.keys():
         missing, unknown = sorted(named.keys() - ckpt.params.keys()), sorted(ckpt.params.keys() - named.keys())

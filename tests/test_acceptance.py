@@ -117,8 +117,8 @@ def test_criterion_01_gradient_suite(acceptance):
         worst = max(worst, report.max_rel_error)
 
     def make_bundle(mode):
-        cfg = TrainingConfig(class_count=3, num_lfs=4, feature_dim=2, z_dim=4, hidden_dim=8, mode=mode, seed=9)
-        return ModelBundle(cfg, np.random.default_rng(9))
+        cfg = TrainingConfig(z_dim=4, hidden_dim=8, mode=mode, seed=9)
+        return ModelBundle(cfg, 3, 4, 2, np.random.default_rng(9))
 
     # discriminator value with smoothed targets, generator frozen
     bundle = make_bundle("encoder")
@@ -503,7 +503,7 @@ def test_criterion_12_determinism(acceptance, tmp_path):
     config = ExperimentConfig(
         dataset=DatasetSpec(class_count=3, feature_dim=2, num_samples=240, radius=3.0, sigma=0.5, seed=0),
         lf_plan=LfPlan(num_lfs=5, accuracy_range=(0.6, 0.85), propensity_range=(0.15, 0.3)),
-        training=TrainingConfig(class_count=3, num_lfs=5, feature_dim=2, epochs=2, batch_size=16, seed=0),
+        training=TrainingConfig(epochs=2, batch_size=16, seed=0),
         seeds=(11,),
         classifier=ClassifierConfig(hidden_dim=8, epochs=3, batch_size=32, seed=0),
     )

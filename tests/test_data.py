@@ -18,7 +18,7 @@ from wsganlab.data import (
     synth_dataset,
 )
 from wsganlab.harness import ExperimentConfig, LfPlan, RunManifest, TheoryGridConfig, default_benchmark_config
-from wsganlab.labelmodel import LfSpec
+from wsganlab.labelmodel import LfSpec, _LabelMatrixSidecar
 from wsganlab.metrics import ClassifierConfig
 from wsganlab.wsgan import TrainingConfig
 
@@ -122,7 +122,7 @@ def _config_objects():
         DatasetSpec(class_count=3, radius=2.5, seed=9),
         LfSpec(target_class=2, accuracy=0.75, propensity=0.2, seed=5),
         LfPlan(num_lfs=5, accuracy_range=(0.6, 0.8)),
-        TrainingConfig(class_count=3, num_lfs=5, feature_dim=2, mode="vector", lr_d=3e-4),
+        TrainingConfig(mode="vector", lr_d=3e-4),
         ClassifierConfig(hidden_dim=8),
         ExperimentConfig(),
         ExperimentConfig(dataset=DatasetSpec(class_count=3), seeds=(4, 5), metrics=("ari",)),
@@ -142,14 +142,16 @@ def test_from_json_roundtrips_asdict(obj):
 
 def test_from_json_builds_nested_tuples_and_null():
     raw = {"dataset": {"class_count": 3, "radius": 5}, "lf_plan": {"accuracy_range": [0.6, 0.8]},
-           "training": None, "seeds": [7, 8]}
+           "training": {"epochs": 2}, "seeds": [7, 8]}
     config = from_json(ExperimentConfig, raw, "c.json")
     assert config.dataset == DatasetSpec(class_count=3, radius=5)
     assert config.dataset.radius == 5 and isinstance(config.dataset.radius, int)  # kept as written
     assert config.lf_plan.accuracy_range == (0.6, 0.8)
     assert config.seeds == (7, 8)
-    assert config.training.class_count == 3 and config.training.epochs == 60  # null: derived default
+    assert config.training == TrainingConfig(epochs=2)
     assert from_json(ExperimentConfig, {}, "c.json") == default_benchmark_config()
+    sidecar = {"format_version": 1, "class_count": 3, "num_lfs": 2, "num_samples": 5, "lf_specs": None}
+    assert from_json(_LabelMatrixSidecar, sidecar, "s.json").lf_specs is None
 
 
 @pytest.mark.parametrize(
@@ -157,7 +159,7 @@ def test_from_json_builds_nested_tuples_and_null():
     [
         ([], "the top level must be ExperimentConfig, not list"),
         ({"seed": [7], "trainig": {"epochs": 2}}, "unknown key seed, trainig"),
-        ({"training": {"epochs": 2}}, "missing required key training.class_count, training.feature_dim, training.num_lfs"),
+        ({"training": None}, "training must be TrainingConfig, not NoneType"),
         ({"seeds": 101}, "seeds must be tuple, not int"),
         ({"seeds": [101, "102"]}, "seeds[1] must be int, not str"),
         ({"dataset": {"num_samples": True}}, "dataset.num_samples must be int, not bool"),

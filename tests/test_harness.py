@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wsganlab.cli import main
-from wsganlab.data import DataError, DatasetSpec, from_json, read_csv, write_csv
+from wsganlab.data import DataError, DatasetSpec, from_json, read_csv, read_json, write_csv
 from wsganlab.harness import (
     AUG_HEADER,
     BENCHMARK_MODELS,
@@ -20,8 +20,6 @@ from wsganlab.harness import (
     config_hash,
     default_benchmark_config,
     derive_seed,
-    load_experiment_config,
-    load_theory_grid,
     make_lf_applicator,
     run_augmentation,
     run_benchmark,
@@ -37,7 +35,7 @@ def tiny_config(**kwargs):
     base = dict(
         dataset=DatasetSpec(class_count=3, feature_dim=2, num_samples=240, radius=3.0, sigma=0.5, seed=0),
         lf_plan=LfPlan(num_lfs=5, accuracy_range=(0.6, 0.85), propensity_range=(0.15, 0.3)),
-        training=TrainingConfig(class_count=3, num_lfs=5, feature_dim=2, epochs=2, batch_size=16, seed=0),
+        training=TrainingConfig(epochs=2, batch_size=16, seed=0),
         seeds=(11, 12),
         classifier=ClassifierConfig(hidden_dim=8, epochs=3, batch_size=32, seed=0),
     )
@@ -78,17 +76,6 @@ def test_lf_plan_validation():
         LfPlan(propensity_range=(0.0, 0.3))
 
 
-def test_experiment_config_syncs_training_dims():
-    config = tiny_config(training=None)
-    assert config.training.class_count == 3
-    assert config.training.num_lfs == 5
-    assert config.training.feature_dim == 2
-    mismatched = TrainingConfig(class_count=4, num_lfs=9, feature_dim=3, epochs=2)
-    synced = tiny_config(training=mismatched)
-    assert synced.training.class_count == 3 and synced.training.num_lfs == 5
-    assert synced.training.epochs == 2  # non-dimensional fields preserved
-
-
 def test_experiment_config_rejects_unknown_metric():
     with pytest.raises(HarnessError):
         tiny_config(metrics=("covered_accuracy", "mystery"))
@@ -102,13 +89,17 @@ def test_training_section_may_omit_dimension_fields(tmp_path):
     raw["training"] = {"epochs": 2, "batch_size": 16}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
-    loaded = load_experiment_config(path)
+    loaded = read_json(ExperimentConfig, path)
     assert loaded == explicit
     assert config_hash(loaded) == config_hash(explicit)
     raw["training"] = {"epoch": 2}
     path.write_text(json.dumps(raw))
     with pytest.raises(DataError, match="unknown key training.epoch$"):
-        load_experiment_config(path)
+        read_json(ExperimentConfig, path)
+    raw["training"] = {"epochs": 2, "class_count": 3}  # the sizes come from the data
+    path.write_text(json.dumps(raw))
+    with pytest.raises(DataError, match="unknown key training.class_count$"):
+        read_json(ExperimentConfig, path)
 
 
 def test_config_dict_roundtrip_preserves_hash():
@@ -136,10 +127,10 @@ def test_default_benchmark_config_shape():
 def test_load_experiment_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dataclasses.asdict(tiny_config())))
-    assert load_experiment_config(path) == tiny_config()
+    assert read_json(ExperimentConfig, path) == tiny_config()
     path.write_text(json.dumps({"seeds": []}))
     with pytest.raises(HarnessError):
-        load_experiment_config(path)
+        read_json(ExperimentConfig, path)
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +196,12 @@ def test_benchmark_outputs(tiny_run):
         for model in ("infogan", "wsgan_vector", "wsgan_encoder"):
             assert (seed_dir / f"history_{model}.csv").exists()
             assert (seed_dir / f"checkpoint_{model}.json").exists()
-    assert load_experiment_config(out / "config.json") == config
+    assert read_json(ExperimentConfig, out / "config.json") == config
 
 
 def test_benchmark_manifest_roundtrip(tiny_run):
     _, out, manifest = tiny_run
-    loaded = RunManifest.load_json(out / "manifest.json")
+    loaded = read_json(RunManifest, out / "manifest.json")
     assert loaded.config_hash == manifest.config_hash
     assert loaded.files == manifest.files
     assert set(loaded.checkpoints) == {
@@ -308,7 +299,7 @@ def test_run_theory_suite_smoke(tmp_path):
     assert "overall: PASS" in text
     stored = json.loads((tmp_path / "theory_grid.json").read_text())
     assert stored == json.loads(json.dumps(dataclasses.asdict(grid)))
-    assert load_theory_grid(tmp_path / "theory_grid.json") == grid
+    assert read_json(TheoryGridConfig, tmp_path / "theory_grid.json") == grid
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +452,7 @@ _JSON_CASES = [
     ("lfs-sidecar", "mistyped", _set("class_count", "3"), "class_count must be int"),
     ("lfs-sidecar", "version", _set("format_version", 99), "unsupported format_version 99"),
     ("train-config", "unknown", _set("epoch", 1), "unknown key epoch"),
-    ("train-config", "missing", _set("class_count", _DROP), "missing required key class_count"),
+    ("train-config", "dimension", _set("class_count", 3), "unknown key class_count"),
     ("train-config", "mistyped", _set("epochs", 1.5), "epochs must be int"),
     ("benchmark-config", "unknown", _set("seed", [7]), "unknown key seed"),
     ("benchmark-config", "mistyped", _set("seeds", 11), "seeds must be tuple"),
@@ -489,7 +480,7 @@ def valid_json_inputs(tmp_path_factory):
         "specs": [{"target_class": 1, "accuracy": 0.8, "propensity": 0.2, "seed": 0}],
         "dataset-sidecar": json.loads((root / "dataset.json").read_text()),
         "lfs-sidecar": json.loads((root / "lfs.json").read_text()),
-        "train-config": dataclasses.asdict(TrainingConfig(class_count=3, num_lfs=4, feature_dim=2, epochs=1)),
+        "train-config": dataclasses.asdict(TrainingConfig(epochs=1)),
         "benchmark-config": dataclasses.asdict(tiny_config(seeds=(11,))),
         "augment-manifest": {"config_hash": "ab", "version": "0.1.0", "seeds": [11]},
         "theory-grid": dataclasses.asdict(grid),
@@ -525,4 +516,4 @@ def test_readme_config_example_is_the_default(tmp_path):
     example = readme.split("The experiment config mirrors", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
     path = tmp_path / "config.json"
     path.write_text(example)
-    assert load_experiment_config(path) == default_benchmark_config()
+    assert read_json(ExperimentConfig, path) == default_benchmark_config()

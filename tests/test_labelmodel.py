@@ -167,9 +167,11 @@ def test_weighted_softmax_per_row_weights_and_single_row():
     probs = weighted_softmax_posterior(votes, w, 2)
     e = np.exp([0.0, 3.5])
     assert np.allclose(probs[1], e / e.sum())
-    single = weighted_softmax_posterior(np.array([1, 0]), np.array([1.0, 1.0]), 2)
-    assert single.shape == (2,)
-    assert np.allclose(single, probs[0])
+    single = weighted_softmax_posterior(np.array([[1, 0]]), np.array([1.0, 1.0]), 2)
+    assert single.shape == (1, 2)
+    assert np.allclose(single[0], probs[0])
+    with pytest.raises(WeakSupError, match="must be 2-D"):
+        weighted_softmax_posterior(np.array([1, 0]), np.array([1.0, 1.0]), 2)
 
 
 def test_crisp_labels_break_weighted_softmax_ties_low():
@@ -189,7 +191,7 @@ def test_posterior_table_validation():
 # Dawid-Skene
 
 
-def reference_em(votes, C, iters, init_acc=0.7, update_prior=True):
+def reference_em(votes, C, iters, init_acc=0.7):
     """Independent dense EM: per-iteration (ll, accuracies, posteriors)."""
     n, m = votes.shape
     acc = np.clip(np.full(m, init_acc), 1e-4, 1 - 1e-4)
@@ -224,19 +226,17 @@ def reference_em(votes, C, iters, init_acc=0.7, update_prior=True):
             if den > 0:
                 new_acc[j] = num / den
         acc = np.clip(new_acc, 1e-4, 1 - 1e-4)
-        if update_prior:
-            prior = np.clip(post.mean(axis=0), 1e-9, None)
-            prior /= prior.sum()
+        prior = np.clip(post.mean(axis=0), 1e-9, None)
+        prior /= prior.sum()
     return out
 
 
 @pytest.mark.filterwarnings("ignore:Dawid-Skene did not converge")
-@pytest.mark.parametrize("update_prior", [True, False])
-def test_dawid_skene_matches_reference_trajectory(update_prior):
+def test_dawid_skene_matches_reference_trajectory():
     rng = np.random.default_rng(5)
     votes = rng.integers(0, 4, size=(25, 5))
-    ref = reference_em(votes, 3, iters=8, update_prior=update_prior)
-    result = dawid_skene_fit(votes, 3, max_iters=8, tol=0.0, update_prior=update_prior)
+    ref = reference_em(votes, 3, iters=8)
+    result = dawid_skene_fit(votes, 3, max_iters=8, tol=0.0)
     assert len(result.log_likelihood) == 8
     for it in range(8):
         assert np.isclose(result.log_likelihood[it], ref[it][0], atol=1e-9)

@@ -40,18 +40,14 @@ CLAMP = 1e-7
 
 
 def small_config(**kwargs):
-    base = dict(
-        class_count=3,
-        num_lfs=4,
-        feature_dim=2,
-        z_dim=4,
-        hidden_dim=8,
-        epochs=2,
-        batch_size=8,
-        seed=0,
-    )
+    base = dict(z_dim=4, hidden_dim=8, epochs=2, batch_size=8, seed=0)
     base.update(kwargs)
     return TrainingConfig(**base)
+
+
+def small_bundle(seed, **kwargs):
+    """A bundle sized for small_problem: 3 classes, 4 LFs, 2 feature dimensions."""
+    return ModelBundle(small_config(**kwargs), 3, 4, 2, np.random.default_rng(seed))
 
 
 def small_problem(n=40, seed=5):
@@ -75,7 +71,10 @@ def test_config_validation():
     with pytest.raises(TrainingError):
         small_config(mode="both")
     with pytest.raises(TrainingError):
-        small_config(class_count=1)
+        small_config(z_dim=0)
+    for sizes in ((1, 4, 2), (3, 0, 2), (3, 4, 0)):  # classes, LFs, feature dimensions
+        with pytest.raises(TrainingError):
+            ModelBundle(small_config(), *sizes, np.random.default_rng(0))
     with pytest.raises(TrainingError):
         small_config(label_smoothing=0.5)
     with pytest.raises(TrainingError):
@@ -88,15 +87,15 @@ def test_config_validation():
 
 def test_bundle_init_identical_across_modes():
     for mode in ("vector", "infogan"):
-        a = ModelBundle(small_config(mode="encoder"), np.random.default_rng(3))
-        b = ModelBundle(small_config(mode=mode), np.random.default_rng(3))
+        a = small_bundle(3, mode="encoder")
+        b = small_bundle(3, mode=mode)
         for (name_a, pa), (name_b, pb) in zip(a.named_params(), b.named_params()):
             assert name_a == name_b
             assert (pa.data == pb.data).all()
 
 
 def test_bundle_head_initialization():
-    bundle = ModelBundle(small_config(), np.random.default_rng(0))
+    bundle = small_bundle(0)
     assert np.abs(bundle.weight_head.w.data).max() < 0.05  # near-zero head
     assert (bundle.weight_vector.data == 0.0).all()
     x = Tensor(np.random.default_rng(1).normal(size=(6, 2)))
@@ -110,12 +109,12 @@ def test_bundle_head_initialization():
 
 
 def test_vector_mode_weights_exactly_half_at_init():
-    bundle = ModelBundle(small_config(mode="vector"), np.random.default_rng(0))
+    bundle = small_bundle(0, mode="vector")
     assert (bundle.lf_weights().data == 0.5).all()
 
 
 def test_param_groups_disjoint_roles():
-    bundle = ModelBundle(small_config(mode="encoder"), np.random.default_rng(0))
+    bundle = small_bundle(0, mode="encoder")
     gen_ids = {id(p) for p in bundle.gen_params()}
     disc_ids = {id(p) for p in bundle.disc_params()}
     assert not gen_ids & disc_ids
@@ -180,7 +179,7 @@ def covered_batch(n=12):
 
 def test_alignment_penalty_formula():
     x, votes = covered_batch()
-    bundle = ModelBundle(small_config(mode="encoder"), np.random.default_rng(2))
+    bundle = small_bundle(2, mode="encoder")
     _loss, parts = alignment_loss(bundle, x, votes, epoch=0)
     with ad.no_grad():
         theta = bundle.lf_weights(bundle.features(Tensor(x))).data
@@ -192,7 +191,7 @@ def test_alignment_penalty_formula():
 
 def test_alignment_vector_penalty_is_plain_sum():
     x, votes = covered_batch()
-    bundle = ModelBundle(small_config(mode="vector"), np.random.default_rng(2))
+    bundle = small_bundle(2, mode="vector")
     _loss, parts = alignment_loss(bundle, x, votes, epoch=0)
     assert parts["penalty"] == 0.0  # sigmoid(0) = 0.5 exactly
     bundle.weight_vector.data[:] = 1.0
@@ -203,7 +202,7 @@ def test_alignment_vector_penalty_is_plain_sum():
 
 def test_alignment_ce_parts_against_numpy():
     x, votes = covered_batch()
-    bundle = ModelBundle(small_config(mode="encoder"), np.random.default_rng(4))
+    bundle = small_bundle(4, mode="encoder")
     loss, parts = alignment_loss(bundle, x, votes, epoch=1)
     with ad.no_grad():
         feats = bundle.features(Tensor(x))
@@ -223,7 +222,7 @@ def test_alignment_rejects_uncovered_rows():
     x, votes = covered_batch()
     votes = votes.copy()
     votes[0] = 0
-    bundle = ModelBundle(small_config(), np.random.default_rng(0))
+    bundle = small_bundle(0)
     with pytest.raises(TrainingError):
         alignment_loss(bundle, x, votes, epoch=0)
 
@@ -231,7 +230,7 @@ def test_alignment_rejects_uncovered_rows():
 def test_theta_path_does_not_touch_trunk():
     # gradient through the weight head flows into detached features only
     x, votes = covered_batch()
-    bundle = ModelBundle(small_config(mode="encoder"), np.random.default_rng(7))
+    bundle = small_bundle(7, mode="encoder")
     feats = bundle.features(Tensor(x))
     q = bundle.code_posterior(feats)
     theta = ad.sigmoid(bundle.weight_head(ad.detach(feats)))
@@ -257,7 +256,7 @@ def test_alignment_gradients_match_finite_differences(mode):
     # functional, then confirm its analytic gradient equals the live one.
     x, votes = covered_batch(n=6)
     n = x.shape[0]
-    bundle = ModelBundle(small_config(mode=mode), np.random.default_rng(11))
+    bundle = small_bundle(11, mode=mode)
     params = bundle.align_params()
     with ad.no_grad():
         feats0 = bundle.features(Tensor(x)).data
@@ -294,11 +293,10 @@ def test_alignment_gradients_match_finite_differences(mode):
 
 def test_discriminator_generator_gradients_match_finite_differences():
     data, _ = small_problem(n=8)
-    config = small_config()
-    bundle = ModelBundle(config, np.random.default_rng(9))
+    bundle = small_bundle(9)
     x = data.features[:4]
     rng = np.random.default_rng(1)
-    z = rng.standard_normal((4, config.z_dim))
+    z = rng.standard_normal((4, bundle.config.z_dim))
     codes = rng.integers(1, 4, size=4)
     targets_real = np.full(4, 0.9)
     targets_fake = np.full(4, 0.1)
@@ -380,6 +378,29 @@ def test_train_input_validation():
     empty[:] = 0
     with pytest.raises(TrainingError):
         train(data, empty, small_config(mode="encoder"))
+    no_lfs = np.zeros((data.features.shape[0], 0), dtype=int)
+    for mode in ("encoder", "infogan"):
+        with pytest.raises(TrainingError):
+            train(data, no_lfs, small_config(mode=mode))
+
+
+def test_one_config_trains_problems_of_any_size():
+    # the networks take C from the dataset spec, m from the votes and d from the features
+    config = TrainingConfig(epochs=1, z_dim=4, hidden_dim=8, batch_size=16)
+    for C, m, d in ((3, 4, 2), (4, 6, 3)):
+        spec = DatasetSpec(class_count=C, feature_dim=d, num_samples=60, radius=3.0, sigma=0.5, seed=C)
+        data = synth_dataset(spec)
+        specs = [LfSpec(1 + j % C, 0.8, 0.15, seed=j) for j in range(m)]
+        L = generate_synthetic_lfs(data.labels, specs, C)
+        bundle, history = train(data, L, config)
+        assert (bundle.class_count, bundle.num_lfs, bundle.feature_dim) == (C, m, d)
+        params = dict(bundle.named_params())
+        assert params["code_head.b"].data.shape == (C,)
+        assert params["weight_vector"].data.shape == (m,)
+        assert params["trunk.0.w"].data.shape[0] == d
+        assert len(history.records) == 1 and all(np.isfinite(v) for v in history.records[0])
+        assert pseudolabel_table(bundle, data.features, L).probs.shape == (60, C)
+        assert generate_samples(bundle, 5)[0].shape == (5, d)
 
 
 def test_history_csv_format(tmp_path):
@@ -414,8 +435,8 @@ def test_predict_routes_lf_vs_synthetic():
             w = 1 / (1 + np.exp(-bundle.weight_vector.data))
         else:
             w = bundle.lf_weights(bundle.features(Tensor(data.features[covered : covered + 1]))).data[0]
-    want = weighted_softmax_posterior(L.votes[covered], w, 3)
-    assert np.allclose(table.probs[0], want, atol=1e-12)
+    want = weighted_softmax_posterior(L.votes[covered : covered + 1], w, 3)
+    assert np.allclose(table.probs[0], want[0], atol=1e-12)
     table2 = pseudolabel_table(bundle, data.features[:1], np.zeros((1, 4), dtype=int))
     assert table2.covered.tolist() == [False]  # the synthetic route
     assert np.isclose(table2.probs[0].sum(), 1.0)
@@ -436,7 +457,7 @@ def test_pseudolabel_table_partitions_by_coverage():
 
 
 def test_generate_samples_deterministic_and_fixed_class():
-    bundle = ModelBundle(small_config(), np.random.default_rng(0))
+    bundle = small_bundle(0)
     xa, ca = generate_samples(bundle, 20, seed=5)
     xb, cb = generate_samples(bundle, 20, seed=5)
     assert (xa == xb).all() and (ca == cb).all()
@@ -475,7 +496,7 @@ def test_augment_appends_and_reports_balance():
 
 
 def test_augment_rejects_collapsed_labels():
-    bundle = ModelBundle(small_config(), np.random.default_rng(0))
+    bundle = small_bundle(0)
     bundle.code_to_label.b.data[:] = np.array([50.0, 0.0, 0.0])  # force class 1 always
     x = np.zeros((10, 2))
     y = np.array([1, 2, 3] * 3 + [1])
@@ -506,7 +527,7 @@ def test_augment_lf_pl_uses_applicator():
 
 def test_augment_bad_applicator_shape():
     data, L = small_problem(n=30)
-    bundle = ModelBundle(small_config(), np.random.default_rng(0))
+    bundle = small_bundle(0)
     with pytest.raises(TrainingError):
         augment_dataset(
             bundle, data.features, data.labels, 5, "lf_pl", lf_applicator=lambda f, r: np.zeros((3, 2), int)
@@ -524,6 +545,7 @@ def test_bundle_roundtrip_bitwise(tmp_path):
     loaded, state = load_bundle(path)
     assert state == {"note": 1}
     assert loaded.config == bundle.config
+    assert (loaded.class_count, loaded.num_lfs, loaded.feature_dim) == (3, 4, 2)
     for (na, pa), (nb, pb) in zip(bundle.named_params(), loaded.named_params()):
         assert na == nb and (pa.data == pb.data).all()
     # predictions are reproduced exactly
@@ -533,7 +555,7 @@ def test_bundle_roundtrip_bitwise(tmp_path):
 
 
 def test_load_rejects_bad_version_and_shape(tmp_path):
-    bundle = ModelBundle(small_config(), np.random.default_rng(0))
+    bundle = small_bundle(0)
     path = save_bundle(bundle, tmp_path / "c.json")
     with open(path) as fh:
         payload = json.load(fh)
@@ -542,7 +564,11 @@ def test_load_rejects_bad_version_and_shape(tmp_path):
         json.dump(payload, fh)
     with pytest.raises(TrainingError):
         load_bundle(path)
-    payload["format_version"] = 1
+    version_1 = {**payload, "format_version": 1, "config": {**payload["config"], "class_count": 3}}
+    path.write_text(json.dumps(version_1))  # version 1 stored the network sizes in the config
+    with pytest.raises(TrainingError, match=r"c\.json: unsupported format_version 1, expected 2"):
+        load_bundle(path)
+    payload["format_version"] = 2
     payload["params"]["weight_vector"] = [0.0, 0.0]  # wrong length
     with open(path, "w") as fh:
         json.dump(payload, fh)
@@ -550,13 +576,15 @@ def test_load_rejects_bad_version_and_shape(tmp_path):
         load_bundle(path)
 
 
-@pytest.mark.parametrize("change", ["missing", "unknown"])
+@pytest.mark.parametrize("change", ["missing", "unknown", "missing-size"])
 def test_load_rejects_missing_or_unknown_param(tmp_path, change):
-    bundle = ModelBundle(small_config(), np.random.default_rng(0))
+    bundle = small_bundle(0)
     path = save_bundle(bundle, tmp_path / "c.json")
     payload = json.loads(path.read_text())
     if change == "missing":
         del payload["params"]["trunk.0.b"]
+    elif change == "missing-size":  # a parameter the network sizes are read from
+        del payload["params"]["trunk.0.w"]
     else:
         payload["params"]["trunk.9.w"] = [[0.0]]
     path.write_text(json.dumps(payload))
