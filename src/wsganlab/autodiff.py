@@ -3,10 +3,12 @@
 A small tape-based engine.  Every operation returns a new `Tensor` that holds
 its result and one edge per input that requires a gradient: the input, and
 the vector-Jacobian product (VJP) that maps the result's gradient to that
-input's share.  `backward` topologically sorts the graph once, walks it in
-reverse, and adds each edge's VJP into its input's `.grad`; it is the only
-code that writes gradients.  All arrays are float64; broadcasting follows
-numpy rules, with gradients summed back to the input's shape.
+input's share.  `backward(loss, params)` topologically sorts the graph once,
+walks it in reverse, sums each edge's VJP into a table local to the call, and
+returns the gradient of each of `params`; no tensor stores a gradient.
+`Adam.step(loss)` differentiates and updates in one call.  All arrays are
+float64; broadcasting follows numpy rules, with gradients summed back to the
+input's shape.
 """
 from __future__ import annotations
 
@@ -71,11 +73,10 @@ class no_grad:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_edges", "op")
+    __slots__ = ("data", "requires_grad", "_edges", "op")
 
     def __init__(self, data, requires_grad: bool = False, op: str = "leaf"):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
         self.requires_grad = bool(requires_grad)
         self._edges = ()
         self.op = op
@@ -83,9 +84,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(op={self.op}, shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -285,10 +283,11 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor) -> None:
-    """Populate `.grad` on every graph leaf reachable from the scalar `loss`.
+def backward(loss: Tensor, params) -> list[np.ndarray]:
+    """d loss / d p for each of `params`, in order, from the scalar `loss`.
 
-    Raises on a non-scalar loss or if any node's value is non-finite.
+    A parameter the loss does not reach gets zeros.  Raises on a non-scalar
+    loss or if any node's value is non-finite.
     """
     if loss.data.size != 1:
         raise AutodiffError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -297,12 +296,14 @@ def backward(loss: Tensor) -> None:
     if not np.isfinite(np.concatenate([node.data.ravel() for node in order])).all():
         bad = next(node for node in order if not np.isfinite(node.data).all())
         raise NonFiniteGraphError(f"non-finite values in node op={bad.op!r}")
-    loss.grad = np.ones_like(loss.data)
+    grads = {loss: np.ones_like(loss.data)}  # Tensor hashes by identity
     for node in reversed(order):
-        g = node.grad
+        g = grads[node]
         for inp, vjp in node._edges:
             d = vjp(g)
-            inp.grad = d if inp.grad is None else inp.grad + d
+            prev = grads.get(inp)
+            grads[inp] = d if prev is None else prev + d
+    return [grads[p] if p in grads else np.zeros_like(p.data) for p in params]
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +327,7 @@ def check_gradients_params(loss_fn, params, step: float = 1e-5) -> GradCheckRepo
     The closure must rebuild its graph from the current parameter values on
     every call.  Returns flattened analytic/numeric gradients over all params.
     """
-    for p in params:
-        p.zero_grad()
-    out = loss_fn()
-    if out.data.size != 1:
-        raise AutodiffError("check_gradients_params requires a scalar loss")
-    backward(out)
-    analytic = np.concatenate(
-        [(p.grad if p.grad is not None else np.zeros_like(p.data)).ravel() for p in params]
-    )
+    analytic = np.concatenate([g.ravel() for g in backward(loss_fn(), params)])
 
     chunks = []
     with no_grad():
@@ -379,24 +372,19 @@ class Adam:
         self.v = np.zeros(self.offsets[-1])
         self.steps = 0
 
-    def step(self) -> None:
-        """One update from each parameter's `.grad`.
+    def step(self, loss: Tensor) -> None:
+        """One update from the gradients of `loss` (see `backward`).
 
-        A None gradient counts as zero (moments decay, and from a fresh state
-        the parameter is untouched).  A misshapen or non-finite gradient
-        raises before any parameter, moment or the step count changes.
+        A parameter the loss does not reach gets a zero gradient (moments
+        decay, and from a fresh state the parameter is untouched).  A
+        misshapen or non-finite gradient raises before any parameter, moment
+        or the step count changes.
         """
-        grads = []
-        for p in self.params:
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            else:
-                g = np.asarray(g, dtype=np.float64)
-                if g.shape != p.data.shape:
-                    raise AutodiffError(f"Adam: gradient shape {g.shape} != param shape {p.data.shape}")
-            grads.append(g.ravel())
-        g = np.concatenate(grads) if grads else np.zeros(0)
+        grads = backward(loss, self.params)
+        for p, g in zip(self.params, grads):
+            if g.shape != p.data.shape:
+                raise AutodiffError(f"Adam: gradient shape {g.shape} != param shape {p.data.shape}")
+        g = np.concatenate([g.ravel() for g in grads]) if grads else np.zeros(0)
         if not np.isfinite(g).all():
             raise NonFiniteGraphError("Adam: non-finite gradient")
         self.steps += 1
@@ -411,7 +399,3 @@ class Adam:
         upd = self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
         for p, lo, hi in zip(self.params, self.offsets[:-1], self.offsets[1:]):
             p.data -= upd[lo:hi].reshape(p.data.shape)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None

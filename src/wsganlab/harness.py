@@ -402,23 +402,27 @@ def run_augmentation(
     """Compare an end classifier trained on pseudolabeled real data against
     one trained on the same data plus generated points.
 
-    Encoder checkpoints are reused from a benchmark manifest when given,
-    otherwise trained afresh per seed.  Returns the CSV rows; a rejected
-    augmentation (balance failure) yields a row with NaN accuracies and
-    balance_passed False.
+    Encoder checkpoints are loaded from a benchmark manifest when given, which
+    must hold one for every config seed; otherwise they are trained afresh per
+    seed.  Returns the CSV rows; a rejected augmentation (balance failure)
+    yields a row with NaN accuracies and balance_passed False.
     """
     for mode in modes:
         if mode not in AUG_MODES:
             raise HarnessError(f"unknown augmentation mode {mode!r}")
+    if manifest is not None:
+        keys = [f"wsgan_encoder_seed{s}" for s in config.seeds]
+        missing = [k for k in keys if k not in manifest.checkpoints]
+        if missing:
+            raise HarnessError(f"manifest has no encoder checkpoint {', '.join(missing)}")
     rows = []
     for seed in config.seeds:
         data, specs, L = _seed_inputs(config, seed)
         test_spec = dataclasses.replace(config.dataset, seed=derive_seed(seed, _STREAM_TEST))
         test = synth_dataset(test_spec)
 
-        key = f"wsgan_encoder_seed{seed}"
-        if manifest is not None and key in manifest.checkpoints:
-            bundle, _state = load_bundle(manifest.checkpoints[key])
+        if manifest is not None:
+            bundle, _state = load_bundle(manifest.checkpoints[f"wsgan_encoder_seed{seed}"])
         else:
             tcfg = dataclasses.replace(config.training, mode="encoder", seed=derive_seed(seed, _STREAM_TRAIN))
             bundle, _history = train(data, L, tcfg)

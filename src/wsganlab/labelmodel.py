@@ -176,7 +176,7 @@ class LabelMatrix:
         self.votes = votes
         self.class_count = int(class_count)
         self.lf_specs = lf_specs
-        if votes.size and all((votes[:, j] == votes[0, j]).all() for j in range(votes.shape[1])):
+        if votes.size and (votes == votes[0]).all():
             warnings.warn("every LF column is constant", DegenerateLabelMatrixWarning)
 
     @property
@@ -219,7 +219,7 @@ class PosteriorTable:
 def generate_synthetic_lfs(
     true_labels: np.ndarray,
     specs: list[LfSpec],
-    class_count: int | None = None,
+    class_count: int,
 ) -> LabelMatrix:
     """Realize unipolar LFs with exact vote counts.
 
@@ -231,8 +231,6 @@ def generate_synthetic_lfs(
     y = np.asarray(true_labels, dtype=np.int64)
     if y.ndim != 1 or y.size == 0:
         raise WeakSupError("true_labels must be a non-empty 1-D array")
-    if class_count is None:
-        class_count = int(y.max())
     if y.min() < 1 or y.max() > class_count:
         raise WeakSupError("true labels outside 1..class_count")
     n = y.size
@@ -329,10 +327,9 @@ def weighted_softmax_posterior(votes, weights, class_count: int) -> np.ndarray:
     return _softmax_rows(_scatter(_vote_index(votes, C), w))[0]
 
 
-def crisp_labels(posteriors) -> np.ndarray:
+def crisp_labels(posteriors: PosteriorTable) -> np.ndarray:
     """Argmax class ids (1..C), ties to the lowest class index."""
-    probs = posteriors.probs if isinstance(posteriors, PosteriorTable) else np.asarray(posteriors)
-    return np.argmax(probs, axis=1).astype(np.int64) + 1
+    return np.argmax(posteriors.probs, axis=1).astype(np.int64) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -97,23 +97,15 @@ def average_precision(scores: np.ndarray, positives: np.ndarray) -> float:
     return float(((recall - prev_recall) * precision).sum())
 
 
-def weighted_map(posteriors, true_labels: np.ndarray) -> float:
-    """Support-weighted mean of one-vs-rest average precisions.
-
-    Accepts a PosteriorTable (covered rows only are scored) or a plain (n, C)
-    probability array.
-    """
-    if isinstance(posteriors, PosteriorTable):
-        mask = posteriors.covered
-        if not mask.any():
-            raise MetricUndefinedError("no covered rows")
-        probs = posteriors.probs[mask]
-        y = np.asarray(true_labels, dtype=np.int64)[mask]
-    else:
-        probs = np.asarray(posteriors, dtype=np.float64)
-        y = np.asarray(true_labels, dtype=np.int64)
-    if probs.shape[0] != y.size or y.size == 0:
-        raise MetricError("posterior rows must match labels")
+def weighted_map(posteriors: PosteriorTable, true_labels: np.ndarray) -> float:
+    """Support-weighted mean of one-vs-rest average precisions over covered rows."""
+    y = np.asarray(true_labels, dtype=np.int64)
+    if y.shape != (posteriors.probs.shape[0],):
+        raise MetricError("label length must match posterior rows")
+    mask = posteriors.covered
+    if not mask.any():
+        raise MetricUndefinedError("no covered rows")
+    probs, y = posteriors.probs[mask], y[mask]
     out = 0.0
     n = y.size
     for c in np.unique(y):
@@ -248,9 +240,7 @@ def train_eval_classifier(
             logits = net(ad.Tensor(tx[idx]))
             logp = ad.log_softmax(logits)
             loss = ad.scale(ad.total(ad.mul(logp, targets[idx])), -1.0 / idx.size)
-            opt.zero_grad()
-            ad.backward(loss)
-            opt.step()
+            opt.step(loss)
     with ad.no_grad():
         logits = net(ad.Tensor(ex)).data
     preds = np.argmax(logits, axis=1) + 1

@@ -418,25 +418,19 @@ def train(dataset, L, config: TrainingConfig) -> tuple[ModelBundle, TrainingHist
             fake_t = np.where(flip_fake, real_target, fake_target)
             loss_d = ad.add(binary_cross_entropy(d_real, real_t), binary_cross_entropy(d_fake, fake_t))
             sums["d"] += _check_finite(float(loss_d.data), "d_loss", epoch)
-            bundle.opt_disc.zero_grad()
-            ad.backward(loss_d)
-            bundle.opt_disc.step()
+            bundle.opt_disc.step(loss_d)
 
             # (2) generator
             d_fake2 = bundle.discriminate(bundle.features(bundle.generate(z_g, b_g)))
             loss_g = generator_loss(d_fake2)
             sums["g"] += _check_finite(float(loss_g.data), "g_loss", epoch)
-            bundle.opt_gen.zero_grad()
-            ad.backward(loss_g)
-            bundle.opt_gen.step()
+            bundle.opt_gen.step(loss_g)
 
             # (3) info
             code_probs = bundle.code_posterior(bundle.features(bundle.generate(z_i, b_i)))
             raw_info = info_loss(one_hot(b_i, C), code_probs)
             sums["info"] += _check_finite(float(raw_info.data), "info_loss", epoch)
-            bundle.opt_info.zero_grad()
-            ad.backward(ad.scale(raw_info, config.info_weight))
-            bundle.opt_info.step()
+            bundle.opt_info.step(ad.scale(raw_info, config.info_weight))
 
             # (4) alignment on the covered rows of this batch
             if align_active:
@@ -447,9 +441,7 @@ def train(dataset, L, config: TrainingConfig) -> tuple[ModelBundle, TrainingHist
                     align_sum += float(raw_align.data)
                     pen_sum += parts["penalty"]
                     align_batches += 1
-                    bundle.opt_align.zero_grad()
-                    ad.backward(ad.scale(raw_align, config.align_weight))
-                    bundle.opt_align.step()
+                    bundle.opt_align.step(ad.scale(raw_align, config.align_weight))
             batches += 1
 
         ari, pl_acc = _epoch_metrics(bundle, x, votes, covered_mask, hidden_labels)

@@ -83,42 +83,42 @@ def test_affine_bias_gradient_sums_over_rows():
     x = Tensor(rand(6, 2))
     w = Tensor(rand(2, 3), requires_grad=True)
     b = Tensor(np.zeros(3), requires_grad=True)
-    backward(ad.total(ad.affine(x, w, b)))
-    assert np.allclose(b.grad, np.full(3, 6.0))
-    assert np.allclose(w.grad, x.data.T @ np.ones((6, 3)))
+    gw, gb = backward(ad.total(ad.affine(x, w, b)), [w, b])
+    assert np.allclose(gb, np.full(3, 6.0))
+    assert np.allclose(gw, x.data.T @ np.ones((6, 3)))
 
 
 def test_broadcast_unbroadcast_roundtrip():
     # (n, m) * (m,) must reduce the (m,) gradient by summing over rows
     a = Tensor(rand(5, 3), requires_grad=True)
     v = Tensor(rand(3), requires_grad=True)
-    backward(ad.total(ad.mul(a, v)))
-    assert v.grad.shape == (3,)
-    assert np.allclose(v.grad, a.data.sum(axis=0))
-    assert np.allclose(a.grad, np.broadcast_to(v.data, (5, 3)))
+    ga, gv = backward(ad.total(ad.mul(a, v)), [a, v])
+    assert gv.shape == (3,)
+    assert np.allclose(gv, a.data.sum(axis=0))
+    assert np.allclose(ga, np.broadcast_to(v.data, (5, 3)))
 
 
 def test_scalar_minus_tensor_broadcast():
     a = Tensor(rand(4, 2), requires_grad=True)
-    backward(ad.total(ad.sub(1.0, a)))
-    assert np.allclose(a.grad, -np.ones((4, 2)))
+    (ga,) = backward(ad.total(ad.sub(1.0, a)), [a])
+    assert np.allclose(ga, -np.ones((4, 2)))
 
 
 def test_clip_gradient_is_indicator_with_inclusive_bounds():
     x = Tensor(np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), requires_grad=True)
-    backward(ad.total(ad.clip(x, -1.0, 1.0)))
+    (gx,) = backward(ad.total(ad.clip(x, -1.0, 1.0)), [x])
     # values exactly at a bound still pass gradient through
-    assert np.allclose(x.grad, [0.0, 1.0, 1.0, 1.0, 0.0])
+    assert np.allclose(gx, [0.0, 1.0, 1.0, 1.0, 0.0])
 
 
 def test_concat_splits_gradient():
     a = Tensor(rand(3, 2), requires_grad=True)
     b = Tensor(rand(3, 4), requires_grad=True)
     out = ad.concat([a, b], axis=1)
-    backward(ad.total(ad.mul(out, out)))
-    assert a.grad.shape == (3, 2) and b.grad.shape == (3, 4)
-    assert np.allclose(a.grad, 2 * a.data)
-    assert np.allclose(b.grad, 2 * b.data)
+    ga, gb = backward(ad.total(ad.mul(out, out)), [a, b])
+    assert ga.shape == (3, 2) and gb.shape == (3, 4)
+    assert np.allclose(ga, 2 * a.data)
+    assert np.allclose(gb, 2 * b.data)
 
 
 @pytest.mark.parametrize("axis", [0, -1])
@@ -129,10 +129,10 @@ def test_concat_mixed_constant_gets_no_edge(axis):
     out = ad.concat([a, c, b], axis=axis)
     assert [t for t, _vjp in out._edges] == [a, b]
     weights = rand(*out.shape)
-    backward(ad.total(ad.mul(out, weights)))
+    ga, gb = backward(ad.total(ad.mul(out, weights)), [a, b])
     parts = np.split(weights, 3, axis=axis)
-    assert np.array_equal(a.grad, parts[0])
-    assert np.array_equal(b.grad, parts[2])
+    assert np.array_equal(ga, parts[0])
+    assert np.array_equal(gb, parts[2])
 
 
 def test_linear_map_broadcast_forward_gradient():
@@ -166,8 +166,8 @@ def test_softmax_cross_entropy_composite_gradient():
 def test_reused_node_accumulates_gradient_once_per_path():
     # diamond: y = x*x + x  ->  dy/dx = 2x + 1
     x = Tensor(np.array([3.0]), requires_grad=True)
-    backward(ad.total(ad.add(ad.mul(x, x), x)))
-    assert np.allclose(x.grad, [7.0])
+    (gx,) = backward(ad.total(ad.add(ad.mul(x, x), x)), [x])
+    assert np.allclose(gx, [7.0])
 
 
 def test_deep_chain_no_recursion_limit():
@@ -175,16 +175,16 @@ def test_deep_chain_no_recursion_limit():
     out = x
     for _ in range(3000):
         out = ad.scale(out, 1.0001)
-    backward(ad.total(out))
-    assert math.isfinite(float(x.grad[0]))
-    assert np.isclose(x.grad[0], 1.0001**3000)
+    (gx,) = backward(ad.total(out), [x])
+    assert math.isfinite(float(gx[0]))
+    assert np.isclose(gx[0], 1.0001**3000)
 
 
 def test_detach_blocks_gradient():
     x = Tensor(rand(3, 2), requires_grad=True)
     y = ad.total(ad.mul(ad.detach(ad.mul(x, x)), x))
-    backward(y)
-    assert np.allclose(x.grad, x.data * x.data)  # only the undetached factor
+    (gx,) = backward(y, [x])
+    assert np.allclose(gx, x.data * x.data)  # only the undetached factor
 
 
 def test_no_grad_builds_no_graph():
@@ -192,14 +192,14 @@ def test_no_grad_builds_no_graph():
     with ad.no_grad():
         y = ad.mul(x, x)
     assert y._edges == ()
-    backward(ad.total(y))  # nothing reaches x through the severed graph
-    assert x.grad is None
+    (gx,) = backward(ad.total(y), [x])  # nothing reaches x through the severed graph
+    assert np.array_equal(gx, np.zeros((2, 2)))
 
 
 def test_backward_rejects_nonscalar():
     x = Tensor(rand(3), requires_grad=True)
     with pytest.raises(AutodiffError):
-        backward(ad.mul(x, x))
+        backward(ad.mul(x, x), [x])
 
 
 def test_backward_detects_nonfinite_values():
@@ -207,7 +207,7 @@ def test_backward_detects_nonfinite_values():
     with np.errstate(divide="ignore"):
         loss = ad.total(ad.log(x))  # -inf in the graph
     with pytest.raises(NonFiniteGraphError):
-        backward(loss)
+        backward(loss, [x])
 
 
 @pytest.mark.parametrize(
@@ -225,16 +225,22 @@ def test_backward_names_first_nonfinite_node(build, op):
     with np.errstate(over="ignore", invalid="ignore"):
         loss = build(x)
     with pytest.raises(NonFiniteGraphError, match=f"^non-finite values in node op='{op}'$"):
-        backward(loss)
-    assert x.grad is None
+        backward(loss, [x])
 
 
-def test_zero_grad_resets():
-    x = Tensor(rand(2), requires_grad=True)
-    backward(ad.total(ad.mul(x, x)))
-    assert x.grad is not None
-    x.zero_grad()
-    assert x.grad is None
+def test_backward_returns_gradients_in_params_order():
+    a = Tensor(rand(2, 3), requires_grad=True)
+    b = Tensor(rand(3), requires_grad=True)
+    unreached = Tensor(rand(4), requires_grad=True)
+    loss = ad.total(ad.mul(ad.tanh(a), b))
+    grads = backward(loss, [b, unreached, a])
+    assert [g.shape for g in grads] == [(3,), (4,), (2, 3)]
+    assert np.allclose(grads[0], np.tanh(a.data).sum(axis=0))
+    assert np.array_equal(grads[1], np.zeros(4))
+    assert np.allclose(grads[2], (1.0 - np.tanh(a.data) ** 2) * b.data)
+    # no gradient is stored between calls, so nothing accumulates
+    for g, again in zip(grads, backward(loss, [b, unreached, a])):
+        assert np.array_equal(g, again)
 
 
 def test_gradcheck_report_threshold():
@@ -248,12 +254,39 @@ def test_gradcheck_report_threshold():
 # Adam
 
 
+def linear_loss(params, grads):
+    """The sum of <p, g>: its gradient with respect to each p is exactly g.
+
+    A None in `grads` leaves that parameter out of the loss.
+    """
+    terms = [ad.total(ad.mul(p, g)) for p, g in zip(params, grads) if g is not None]
+    loss = terms[0]
+    for t in terms[1:]:
+        loss = ad.add(loss, t)
+    return loss
+
+
+def misshapen_bias_loss(b):
+    """A loss whose gradient for the (1, k) bias `b` comes back with shape (k,)."""
+    x = Tensor(np.ones((1, 1)))
+    return ad.total(ad.affine(x, Tensor(np.ones((1, b.shape[1]))), b))
+
+
+def overflowing_loss(p):
+    """A finite loss whose gradient for `p` is inf: d log(1e-320 p) / dp overflows."""
+    return ad.total(ad.log(ad.mul(p, 1e-320)))
+
+
+def cancelling_loss(p):
+    """A finite loss (0) whose gradient for `p` is inf - inf = nan."""
+    return ad.sub(overflowing_loss(p), overflowing_loss(p))
+
+
 def test_adam_single_step_matches_hand_update():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     g = np.array([0.1, -0.3])
-    p.grad = g.copy()
     opt = Adam([p], lr=0.01)
-    opt.step()
+    opt.step(linear_loss([p], [g]))
     # bias-corrected first step: m_hat = g, v_hat = g^2  ->  update = lr * g/(|g|+eps)
     expected = np.array([1.0, -2.0]) - 0.01 * g / (np.abs(g) + 1e-8)
     assert np.allclose(p.data, expected, atol=1e-12)
@@ -265,8 +298,7 @@ def test_adam_two_steps_tracked_moments():
     opt = Adam([p], lr=0.05)
     vals = []
     for g in ([0.2], [-0.1]):
-        p.grad = np.array(g)
-        opt.step()
+        opt.step(linear_loss([p], [np.array(g)]))
         vals.append(float(p.data[0]))
     # manual replication
     m = v = 0.0
@@ -281,33 +313,34 @@ def test_adam_two_steps_tracked_moments():
 
 
 def test_adam_none_gradient_means_zero_update():
+    # a loss that does not reach p gives p a zero gradient
     p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    q = Tensor(np.array([3.0]), requires_grad=True)
     before = p.data.copy()
     opt = Adam([p], lr=0.1)
-    assert p.grad is None
-    opt.step()
+    opt.step(ad.total(ad.mul(q, q)))
     assert (p.data == before).all()
+    assert opt.steps == 1 and not opt.m.any()
 
 
 def test_adam_rejects_bad_gradient():
-    p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = Adam([p], lr=0.1)
-    p.grad = np.array([1.0, 2.0])
-    with pytest.raises(AutodiffError):
-        opt.step()
-    p.grad = np.array([np.nan])
-    with pytest.raises(AutodiffError):
-        opt.step()
+    b = Tensor(np.array([[1.0]]), requires_grad=True)
+    opt = Adam([b], lr=0.1)
+    with pytest.raises(AutodiffError, match="gradient shape"):
+        opt.step(misshapen_bias_loss(b))
+    for loss in (overflowing_loss(b), cancelling_loss(b)):
+        assert np.isfinite(loss.data).all()
+        with pytest.raises(NonFiniteGraphError, match="^Adam: non-finite gradient$"), np.errstate(
+            over="ignore", invalid="ignore"
+        ):
+            opt.step(loss)
 
 
 def test_adam_wrapper_roundtrip():
     p = Tensor(np.array([1.0]), requires_grad=True)
     opt = Adam([p], lr=0.1)
-    backward(ad.total(ad.mul(p, p)))
-    opt.step()
+    opt.step(ad.total(ad.mul(p, p)))
     assert p.data[0] != 1.0
-    opt.zero_grad()
-    assert p.grad is None
 
 
 class _LoopAdam:
@@ -320,13 +353,14 @@ class _LoopAdam:
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.steps = 0
 
-    def step(self):
+    def step(self, grads):
+        """One update; a None gradient counts as zero."""
         self.steps += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1**self.steps
         c2 = 1.0 - b2**self.steps
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = np.zeros_like(p.data) if p.grad is None else np.asarray(p.grad, dtype=np.float64)
+        for p, m, v, g in zip(self.params, self.m, self.v, grads):
+            g = np.zeros_like(p.data) if g is None else g
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
@@ -345,10 +379,8 @@ def test_adam_flat_moments_match_per_parameter_loop(lr):
         grads = [rng.standard_normal(a.shape) * 10.0**step for a in init]
         if step in (1, 3):
             grads[1] = None  # the vector sits out these steps
-        for p, q, g in zip(flat, loop, grads):
-            p.grad = q.grad = g
-        opt.step()
-        ref.step()
+        opt.step(linear_loss(flat, grads))
+        ref.step(grads)
         for p, q in zip(flat, loop):
             assert np.array_equal(p.data, q.data)
         assert np.array_equal(opt.m, np.concatenate([m.ravel() for m in ref.m]))
@@ -357,25 +389,26 @@ def test_adam_flat_moments_match_per_parameter_loop(lr):
 
 
 @pytest.mark.parametrize(
-    "bad", [np.array([np.nan]), np.array([np.inf]), np.array([1.0, 2.0])], ids=["nan", "inf", "shape"]
+    "bad",
+    [cancelling_loss, overflowing_loss, misshapen_bias_loss, lambda b: linear_loss([b], [np.array([[np.nan]])])],
+    ids=["nan", "inf", "shape", "nan-node"],
 )
 def test_adam_rejected_step_changes_nothing(bad):
     a = Tensor(np.array([1.0]), requires_grad=True)
-    b = Tensor(np.array([2.0]), requires_grad=True)
+    b = Tensor(np.array([[2.0]]), requires_grad=True)
     opt = Adam([a, b], lr=0.1)
-    a.grad, b.grad = np.array([0.5]), bad
-    with pytest.raises(AutodiffError):
-        opt.step()
-    assert a.data[0] == 1.0 and b.data[0] == 2.0
+    loss = ad.add(linear_loss([a], [np.array([0.5])]), bad(b))
+    with pytest.raises(AutodiffError), np.errstate(over="ignore", invalid="ignore"):
+        opt.step(loss)
+    assert a.data[0] == 1.0 and b.data[0, 0] == 2.0
     assert opt.steps == 0 and not opt.m.any() and not opt.v.any()
     # the next good step is a fresh optimizer's first step, bit for bit
-    b.grad = np.array([-0.25])
-    opt.step()
+    grads = [np.array([0.5]), np.array([[-0.25]])]
+    opt.step(linear_loss([a, b], grads))
     fa = Tensor(np.array([1.0]), requires_grad=True)
-    fb = Tensor(np.array([2.0]), requires_grad=True)
+    fb = Tensor(np.array([[2.0]]), requires_grad=True)
     fresh = Adam([fa, fb], lr=0.1)
-    fa.grad, fb.grad = np.array([0.5]), np.array([-0.25])
-    fresh.step()
+    fresh.step(linear_loss([fa, fb], grads))
     assert np.array_equal(a.data, fa.data) and np.array_equal(b.data, fb.data)
     assert np.array_equal(opt.m, fresh.m) and np.array_equal(opt.v, fresh.v)
     assert opt.steps == fresh.steps == 1

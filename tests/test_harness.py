@@ -257,6 +257,14 @@ def test_run_augmentation_schema(tiny_run, tmp_path):
             assert np.isnan(float(rec[3])) and np.isnan(float(rec[4]))
 
 
+def test_run_augmentation_needs_a_checkpoint_per_seed(tmp_path):
+    manifest = RunManifest(config_hash="ab", version="0.1.0", seeds=[1],
+                           checkpoints={"wsgan_encoder_seed1": str(tmp_path / "ckpt.json")})
+    with pytest.raises(HarnessError, match="^manifest has no encoder checkpoint wsgan_encoder_seed2$"):
+        run_augmentation(tiny_config(seeds=(2,)), n_synth=60, out_dir=tmp_path / "aug", manifest=manifest)
+    assert not (tmp_path / "aug").exists()
+
+
 def test_lf_applicator_vote_shape_and_range():
     config = tiny_config()
     specs = config.lf_plan.sample(3, np.random.default_rng(derive_seed(0, 1)))
@@ -379,9 +387,19 @@ def test_cli_theory_exit_codes(tmp_path):
     assert (tmp_path / "runs" / "theory" / "theory_report.txt").exists()
 
 
-def test_cli_errors_return_one(tmp_path):
+def test_cli_errors_return_one(tmp_path, capsys):
     assert run_cli("fit-labelmodel", "--out", tmp_path, "--lfs", tmp_path / "missing.csv") == 1
     assert run_cli("report", "--dir", tmp_path / "nope") == 1
+    cfg_path, manifest_path = tmp_path / "cfg.json", tmp_path / "manifest.json"
+    cfg_path.write_text(json.dumps(dataclasses.asdict(tiny_config(seeds=(2,)))))
+    manifest_path.write_text(json.dumps({"config_hash": "ab", "version": "0.1.0", "seeds": [1],
+                                         "checkpoints": {"wsgan_encoder_seed1": "ckpt.json"}}))
+    capsys.readouterr()
+    args = ("augment", "--out", tmp_path, "--config", cfg_path, "--manifest", manifest_path)
+    assert run_cli(*args) == 1
+    err = capsys.readouterr().err
+    assert err == "error: manifest has no encoder checkpoint wsgan_encoder_seed2\n"
+    assert not (tmp_path / "augmentation").exists()
     with pytest.raises(SystemExit):
         run_cli("no-such-command")
 

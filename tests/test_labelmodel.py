@@ -176,8 +176,8 @@ def test_weighted_softmax_per_row_weights_and_single_row():
 
 def test_crisp_labels_break_weighted_softmax_ties_low():
     votes = np.array([[1, 2], [0, 0]])
-    probs = weighted_softmax_posterior(votes, np.ones(2), 3)
-    assert crisp_labels(probs).tolist() == [1, 1]  # tie -> lowest class index
+    table = PosteriorTable(weighted_softmax_posterior(votes, np.ones(2), 3), np.ones(2, dtype=bool))
+    assert crisp_labels(table).tolist() == [1, 1]  # tie -> lowest class index
 
 
 def test_posterior_table_validation():

@@ -114,7 +114,7 @@ def test_weighted_map_table_coverage():
     t = table(probs, covered=[True, True, False])
     y = np.array([1, 2, 1])
     assert np.isclose(weighted_map(t, y), 1.0)  # covered rows perfectly ranked
-    raw = weighted_map(np.asarray(probs)[:2], y[:2])
+    raw = weighted_map(table(probs[:2], covered=[True, True]), y[:2])
     assert np.isclose(raw, 1.0)
 
 

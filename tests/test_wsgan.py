@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import wsganlab.autodiff as ad
+import wsganlab.wsgan as wsgan
 from wsganlab.autodiff import Tensor, backward, check_gradients_params
 from wsganlab.data import DatasetSpec, synth_dataset
 from wsganlab.labelmodel import LfSpec, generate_synthetic_lfs, weighted_softmax_posterior
@@ -238,15 +239,11 @@ def test_theta_path_does_not_touch_trunk():
     label_side = cross_entropy(bundle.code_posterior_from_label(y_hat), ad.detach(q))
     dev = ad.sub(theta, 0.5)
     pen = ad.scale(ad.total(ad.mul(dev, dev)), 1.0 / x.shape[0])
-    backward(ad.add(label_side, pen))
-    for p in bundle.trunk.params:
-        assert p.grad is None or not p.grad.any()
-    assert bundle.weight_head.w.grad is not None and bundle.weight_head.w.grad.any()
-    for p in bundle.trunk.params:
-        p.zero_grad()
+    *trunk_grads, head_grad = backward(ad.add(label_side, pen), [*bundle.trunk.params, bundle.weight_head.w])
+    assert not any(g.any() for g in trunk_grads)
+    assert head_grad.any()
     loss, _ = alignment_loss(bundle, x, votes, epoch=0)
-    backward(loss)
-    assert any(p.grad is not None and p.grad.any() for p in bundle.trunk.params)  # code side does
+    assert any(g.any() for g in backward(loss, bundle.trunk.params))  # code side does
 
 
 @pytest.mark.parametrize("mode", ["encoder", "vector"])
@@ -284,10 +281,7 @@ def test_alignment_gradients_match_finite_differences(mode):
     report = check_gradients_params(frozen_loss, params, step=1e-6)
     assert report.ok(1e-4), report.max_rel_error
 
-    for p in params:
-        p.zero_grad()
-    backward(alignment_loss(bundle, x, votes, epoch=1)[0])
-    live = np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad.ravel() for p in params])
+    live = np.concatenate([g.ravel() for g in backward(alignment_loss(bundle, x, votes, epoch=1)[0], params)])
     assert np.allclose(live, report.analytic, atol=1e-12)
 
 
@@ -353,6 +347,49 @@ def test_train_infogan_alignment_columns_zero():
     _, history = train(data, L, small_config(mode="infogan"))
     assert all(v == 0.0 for v in history.column("align_loss"))
     assert all(v == 0.0 for v in history.column("penalty"))
+
+
+@pytest.mark.parametrize("mode", ["encoder", "vector"])
+def test_alignment_steps_use_own_votes_and_move_align_params(monkeypatch, mode):
+    # spy on one epoch: the rows and votes that reach alignment_loss, and the
+    # order in which the optimizers step
+    data, L = small_problem()
+    real_loss, real_step = wsgan.alignment_loss, ad.Adam.step
+    calls, events, moved = [], [], []
+
+    def spy_loss(bundle, x_batch, votes_batch, epoch):
+        calls.append((x_batch.copy(), votes_batch.copy()))
+        events.append("loss")
+        return real_loss(bundle, x_batch, votes_batch, epoch)
+
+    def spy_step(opt, loss):
+        after_loss = events[-1:] == ["loss"]
+        before = [p.data.copy() for p in opt.params]
+        real_step(opt, loss)
+        events.append(opt)
+        if after_loss:
+            moved.append([not np.array_equal(b, p.data) for b, p in zip(before, opt.params)])
+
+    monkeypatch.setattr(wsgan, "alignment_loss", spy_loss)
+    monkeypatch.setattr(ad.Adam, "step", spy_step)
+    bundle, _ = train(data, L, small_config(mode=mode, epochs=1, batch_size=4))
+
+    row_of = {row.tobytes(): i for i, row in enumerate(data.features)}
+    rows = []
+    for x_batch, votes_batch in calls:
+        batch_rows = [row_of[row.tobytes()] for row in x_batch]
+        assert np.array_equal(votes_batch, L.votes[batch_rows])  # each row's own votes
+        rows += batch_rows
+    assert sorted(rows) == np.flatnonzero((L.votes != 0).any(axis=1)).tolist()  # every covered row, once
+
+    # per batch: D, G and info steps, then one alignment step if and only if alignment_loss ran
+    names = {id(bundle.opt_disc): "d", id(bundle.opt_gen): "g", id(bundle.opt_info): "info",
+             id(bundle.opt_align): "align"}
+    batches = " ".join(e if e == "loss" else names[id(e)] for e in events).replace(" d ", "\nd ").splitlines()
+    assert set(batches) <= {"d g info", "d g info loss align"}
+    assert len(moved) == len(calls) > 0
+    assert [id(p) for p in bundle.opt_align.params] == [id(p) for p in bundle.align_params()]
+    assert all(all(step) for step in moved)  # each alignment step moves every align_params() tensor
 
 
 def test_encoder_zero_align_weight_reproduces_infogan_bitwise():
