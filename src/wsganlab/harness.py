@@ -9,7 +9,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import tempfile
 import time
+import warnings
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -194,6 +197,9 @@ class RunManifest:
         return path
 
 
+_N_GEN = 1000  # sample count for the generated-vs-real Gaussian distance
+
+
 def _metric_row(seed, model, table, ari_value, data: Dataset, gen_feats, config) -> list:
     """One benchmark row; NaN marks metrics a model does not define."""
     labels = np.asarray(data.labels)
@@ -220,57 +226,117 @@ def _seed_inputs(config: ExperimentConfig, seed: int) -> tuple:
     return data, specs, L
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _recording_warnings(fn, *args) -> tuple:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _map_units(fn, jobs: list) -> list:
+    """``[fn(*job) for job in jobs]``, in job order.
+
+    With more than one job and more than one usable CPU, the jobs run in a
+    pool of forked worker processes, one per CPU up to the job count.  Forked
+    workers inherit the loaded package and the caller's BLAS thread settings.
+    A worker's warnings are raised again here, under the caller's filters, in
+    job order.  Every worker is joined before this returns.
+    """
+    workers = min(len(jobs), _usable_cpus())
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [fn(*job) for job in jobs]
+    # imported here, so that importing the package does not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(_recording_warnings, fn, *job) for job in jobs]
+        results, registry = [], {}
+        for future in futures:
+            result, caught = future.result()
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+            results.append(result)
+        return results
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+_GAN_MODELS = (("infogan", "infogan"), ("wsgan_vector", "vector"), ("wsgan_encoder", "encoder"))
+
+
+def _gan_unit(config: ExperimentConfig, seed: int, model: str, mode: str, seed_dir: Path) -> tuple:
+    """Train one GAN model on one run seed, write its history and checkpoint,
+    and score it.  Returns (row, wall time, checkpoint path, error).  A failed
+    training gives a NaN row, no time or path, and the error's repr: data, so
+    it crosses a process boundary whatever the exception type.
+    """
+    data, _specs, L = _seed_inputs(config, seed)
+    # every mode of a run seed trains from the same seed, for pairing
+    tcfg = dataclasses.replace(config.training, mode=mode, seed=derive_seed(seed, _STREAM_TRAIN))
+    t0 = time.perf_counter()
+    try:
+        bundle, history = train(data, L, tcfg)
+    except Exception as exc:  # keep the sweep alive
+        return [seed, model] + [float("nan")] * len(config.metrics), None, None, repr(exc)
+    wall = time.perf_counter() - t0
+    history.save_csv(seed_dir / f"history_{model}.csv")
+    ckpt = save_bundle(bundle, seed_dir / f"checkpoint_{model}.json")
+    table = pseudolabel_table(bundle, data.features, L)
+    gen_feats, _codes = generate_samples(bundle, _N_GEN, seed=derive_seed(seed, _STREAM_GEN))
+    ari = history.records[-1][HISTORY_COLUMNS.index("ari")] if history.records else float("nan")
+    return _metric_row(seed, model, table, ari, data, gen_feats, config), wall, str(ckpt), None
+
+
 def run_benchmark(config: ExperimentConfig, out_dir) -> RunManifest:
     """Train every model on every seed; write per-seed rows, the mean/std
     summary, training histories, checkpoints, and a manifest.
 
-    A failed model run is recorded in manifest.failures and leaves NaN rows;
-    remaining runs continue.
+    The label models run here; each (seed, GAN model) training is one unit of
+    `_map_units`.  A failed model run is recorded in manifest.failures and
+    leaves NaN rows; remaining runs continue.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config_hash=config_hash(config), version=__version__, seeds=list(config.seeds))
-    rows = []
-    n_gen = 1000  # sample count for the generated-vs-real Gaussian distance
-
+    C = config.dataset.class_count
+    label_results = []  # per seed: (model, row, wall time, checkpoint, error), as _gan_unit gives them
     for seed in config.seeds:
         seed_dir = out_dir / f"seed_{seed}"
         seed_dir.mkdir(exist_ok=True)
         data, _specs, L = _seed_inputs(config, seed)
         save_dataset(data, seed_dir / "dataset.csv")
         save_label_matrix(L, seed_dir / "lfs.csv")
-        labels = np.asarray(data.labels)
-        C = config.dataset.class_count
-
-        # label-model baselines
-        mv_table = majority_vote(L, C)
-        rows.append(_metric_row(seed, "majority_vote", mv_table, None, data, None, config))
+        mv_row = _metric_row(seed, "majority_vote", majority_vote(L, C), None, data, None, config)
         try:
             ds = dawid_skene_fit(L, C)
-            rows.append(_metric_row(seed, "dawid_skene", ds.posteriors, None, data, None, config))
+            ds_row, ds_error = _metric_row(seed, "dawid_skene", ds.posteriors, None, data, None, config), None
         except Exception as exc:  # keep the sweep alive
-            manifest.failures.append({"seed": seed, "model": "dawid_skene", "error": repr(exc)})
-            rows.append([seed, "dawid_skene"] + [float("nan")] * len(config.metrics))
+            ds_row, ds_error = [seed, "dawid_skene"] + [float("nan")] * len(config.metrics), repr(exc)
+        label_results.append([("majority_vote", mv_row, None, None, None),
+                              ("dawid_skene", ds_row, None, None, ds_error)])
 
-        # GAN family, one mode at a time, identical training seed for pairing
-        train_seed = derive_seed(seed, _STREAM_TRAIN)
-        for model, mode in (("infogan", "infogan"), ("wsgan_vector", "vector"), ("wsgan_encoder", "encoder")):
-            tcfg = dataclasses.replace(config.training, mode=mode, seed=train_seed)
-            t0 = time.perf_counter()
-            try:
-                bundle, history = train(data, L, tcfg)
-            except Exception as exc:
-                manifest.failures.append({"seed": seed, "model": model, "error": repr(exc)})
-                rows.append([seed, model] + [float("nan")] * len(config.metrics))
-                continue
-            manifest.wall_times[f"{model}_seed{seed}"] = time.perf_counter() - t0
-            history.save_csv(seed_dir / f"history_{model}.csv")
-            ckpt = save_bundle(bundle, seed_dir / f"checkpoint_{model}.json")
-            manifest.checkpoints[f"{model}_seed{seed}"] = str(ckpt)
-            table = pseudolabel_table(bundle, data.features, L)
-            gen_feats, _codes = generate_samples(bundle, n_gen, seed=derive_seed(seed, _STREAM_GEN))
-            ari = history.records[-1][HISTORY_COLUMNS.index("ari")] if history.records else float("nan")
-            rows.append(_metric_row(seed, model, table, ari, data, gen_feats, config))
+    jobs = [(config, seed, model, mode, out_dir / f"seed_{seed}")
+            for seed in config.seeds for model, mode in _GAN_MODELS]
+    gan_results = iter(_map_units(_gan_unit, jobs))
+    rows = []
+    for seed, results in zip(config.seeds, label_results):
+        results += [(model, *next(gan_results)) for model, _mode in _GAN_MODELS]
+        for model, row, wall, ckpt, error in results:
+            rows.append(row)
+            if error is not None:
+                manifest.failures.append({"seed": seed, "model": model, "error": error})
+            if wall is not None:
+                manifest.wall_times[f"{model}_seed{seed}"] = wall
+                manifest.checkpoints[f"{model}_seed{seed}"] = ckpt
 
     header = ["seed", "model"] + list(config.metrics)
     manifest.files["per_seed"] = str(write_csv(out_dir / "per_seed.csv", header, rows))
@@ -404,8 +470,10 @@ def run_augmentation(
 
     Encoder checkpoints are loaded from a benchmark manifest when given, which
     must hold one for every config seed; otherwise they are trained afresh per
-    seed.  Returns the CSV rows; a rejected augmentation (balance failure)
-    yields a row with NaN accuracies and balance_passed False.
+    seed.  Each encoder training and each end classifier is one unit of
+    `_map_units`.  Returns the CSV rows in seed order; a rejected augmentation
+    (balance failure) yields a row with NaN accuracies and balance_passed
+    False.
     """
     for mode in modes:
         if mode not in AUG_MODES:
@@ -415,44 +483,64 @@ def run_augmentation(
         missing = [k for k in keys if k not in manifest.checkpoints]
         if missing:
             raise HarnessError(f"manifest has no encoder checkpoint {', '.join(missing)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        if manifest is not None:
+            checkpoints = [manifest.checkpoints[k] for k in keys]
+        else:  # train each seed's encoder into a checkpoint the classifier units load
+            jobs = [(config, seed, Path(tmp) / f"encoder_seed{seed}.json") for seed in config.seeds]
+            checkpoints = _map_units(_encoder_unit, jobs)
+        jobs = [(config, seed, n_synth, mode, ckpt) for seed, ckpt in zip(config.seeds, checkpoints)
+                for mode in (None, *modes)]
+        accuracies = iter(_map_units(_classifier_unit, jobs))
     rows = []
     for seed in config.seeds:
-        data, specs, L = _seed_inputs(config, seed)
-        test_spec = dataclasses.replace(config.dataset, seed=derive_seed(seed, _STREAM_TEST))
-        test = synth_dataset(test_spec)
-
-        if manifest is not None:
-            bundle, _state = load_bundle(manifest.checkpoints[f"wsgan_encoder_seed{seed}"])
-        else:
-            tcfg = dataclasses.replace(config.training, mode="encoder", seed=derive_seed(seed, _STREAM_TRAIN))
-            bundle, _history = train(data, L, tcfg)
-
-        table = pseudolabel_table(bundle, data.features, L)
-        pls = crisp_labels(table)
-        cls_cfg = dataclasses.replace(config.classifier, seed=derive_seed(seed, _STREAM_CLASSIFIER))
-        baseline = train_eval_classifier(data.features, pls, test.features, test.labels, cls_cfg)
-
-        applicator = make_lf_applicator(specs, config.dataset)
+        baseline = next(accuracies)
         for mode in modes:
-            try:
-                aug = augment_dataset(
-                    bundle,
-                    data.features,
-                    pls,
-                    n_synth,
-                    mode,
-                    lf_applicator=applicator if mode == "lf_pl" else None,
-                    seed=derive_seed(seed, _STREAM_AUG),
-                )
-                augmented = train_eval_classifier(aug.features, aug.labels, test.features, test.labels, cls_cfg)
-                rows.append([seed, mode, baseline, augmented, augmented - baseline, True, n_synth])
-            except AugmentationRejectedError:
+            augmented = next(accuracies)
+            if augmented is None:  # the balance check rejected the augmentation
                 rows.append([seed, mode, baseline, float("nan"), float("nan"), False, n_synth])
+            else:
+                rows.append([seed, mode, baseline, augmented, augmented - baseline, True, n_synth])
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_csv(out_dir / "augmentation.csv", AUG_HEADER, rows)
     return rows
+
+
+def _encoder_unit(config: ExperimentConfig, seed: int, path: Path) -> str:
+    """Train one run seed's encoder as `run_benchmark` does; save it to `path`."""
+    data, _specs, L = _seed_inputs(config, seed)
+    tcfg = dataclasses.replace(config.training, mode="encoder", seed=derive_seed(seed, _STREAM_TRAIN))
+    bundle, _history = train(data, L, tcfg)
+    return str(save_bundle(bundle, path))
+
+
+def _classifier_unit(config: ExperimentConfig, seed: int, n_synth: int, mode, checkpoint) -> float | None:
+    """Test accuracy of one run seed's end classifier, trained on the real
+    data pseudolabeled by the encoder at `checkpoint` (mode None) or on those
+    data plus `n_synth` points generated in `mode`.  None when the balance
+    check rejects the augmentation."""
+    data, specs, L = _seed_inputs(config, seed)
+    test = synth_dataset(dataclasses.replace(config.dataset, seed=derive_seed(seed, _STREAM_TEST)))
+    bundle, _state = load_bundle(checkpoint)
+    features, labels = data.features, crisp_labels(pseudolabel_table(bundle, data.features, L))
+    if mode is not None:
+        try:
+            aug = augment_dataset(
+                bundle,
+                features,
+                labels,
+                n_synth,
+                mode,
+                lf_applicator=make_lf_applicator(specs, config.dataset) if mode == "lf_pl" else None,
+                seed=derive_seed(seed, _STREAM_AUG),
+            )
+        except AugmentationRejectedError:
+            return None
+        features, labels = aug.features, aug.labels
+    cls_cfg = dataclasses.replace(config.classifier, seed=derive_seed(seed, _STREAM_CLASSIFIER))
+    return train_eval_classifier(features, labels, test.features, test.labels, cls_cfg)
 
 
 def make_lf_applicator(specs: list, data_spec: DatasetSpec):

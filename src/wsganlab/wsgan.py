@@ -74,6 +74,9 @@ class TrainingDivergedError(TrainingError):
         self.epoch = epoch
         self.value = value
 
+    def __reduce__(self):  # pickles by its fields, so it can leave a worker process
+        return type(self), (self.term, self.epoch, self.value)
+
 
 class AugmentationRejectedError(TrainingError):
     def __init__(self, report: "BalanceReport"):

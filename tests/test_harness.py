@@ -1,11 +1,15 @@
 """Experiment orchestration: configs, benchmark runs, reports, and the CLI."""
 import dataclasses
 import json
+import multiprocessing
+import os
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wsganlab import harness
 from wsganlab.cli import main
 from wsganlab.data import DataError, DatasetSpec, from_json, read_csv, read_json, write_csv
 from wsganlab.harness import (
@@ -28,7 +32,7 @@ from wsganlab.harness import (
     verify_benchmark_dir,
 )
 from wsganlab.metrics import ClassifierConfig
-from wsganlab.wsgan import TrainingConfig
+from wsganlab.wsgan import TrainingConfig, TrainingDivergedError
 
 
 def tiny_config(**kwargs):
@@ -234,6 +238,94 @@ def test_benchmark_rerun_byte_identical(tiny_run, tmp_path):
         a = (out / f"seed_{seed}" / "history_wsgan_encoder.csv").read_bytes()
         b = (out2 / f"seed_{seed}" / "history_wsgan_encoder.csv").read_bytes()
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_map_units_keeps_job_order_and_joins_its_workers(monkeypatch, cpus):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    pids = harness._map_units(os.getpid, [()] * 3)
+    assert (os.getpid() in pids) == (cpus == 1)
+    assert harness._map_units(pow, [(2, k) for k in range(5)]) == [1, 2, 4, 8, 16]
+    with pytest.warns(UserWarning) as record:
+        harness._map_units(warnings.warn, [("first",), ("second",)])
+    assert [str(w.message) for w in record] == ["first", "second"]
+    assert multiprocessing.active_children() == []
+
+
+def _outputs(out: Path) -> tuple[dict, dict]:
+    """The bytes of every file under `out` but the manifest, and the manifest
+    with `out` written as <out>."""
+    files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    manifest = json.loads(files.pop("manifest.json").decode().replace(str(out), "<out>"))
+    return files, manifest
+
+
+def _assert_same_outputs(a: Path, b: Path):
+    files_a, manifest_a = _outputs(a)
+    files_b, manifest_b = _outputs(b)
+    assert sorted(files_a) == sorted(files_b)
+    assert [name for name in files_a if files_a[name] != files_b[name]] == []
+    assert sorted(manifest_a.pop("wall_times")) == sorted(manifest_b.pop("wall_times"))
+    assert manifest_a == manifest_b
+
+
+@pytest.mark.filterwarnings("ignore:classes .* absent:RuntimeWarning")
+def test_worker_count_leaves_outputs_unchanged(monkeypatch, tmp_path):
+    config = tiny_config()
+    for cpus in (1, 2):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        manifest = run_benchmark(config, tmp_path / f"cpus{cpus}")
+        run_augmentation(config, n_synth=60, out_dir=tmp_path / f"cpus{cpus}" / "aug", manifest=manifest)
+    _assert_same_outputs(tmp_path / "cpus1", tmp_path / "cpus2")
+
+
+def test_failed_training_is_recorded_and_the_sweep_goes_on(monkeypatch, tmp_path):
+    real_train = harness.train
+
+    def train(data, L, config):
+        if config.mode == "vector":
+            raise TrainingDivergedError("d_loss", 1, float("nan"))
+        return real_train(data, L, config)
+
+    monkeypatch.setattr(harness, "train", train)
+    config = tiny_config()
+    error = "TrainingDivergedError('non-finite d_loss at epoch 1: nan')"
+    trained = {f"{model}_seed{seed}" for model in ("infogan", "wsgan_encoder") for seed in config.seeds}
+    for cpus in (1, 2):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        manifest = run_benchmark(config, out)
+        assert manifest.failures == [{"seed": seed, "model": "wsgan_vector", "error": error} for seed in config.seeds]
+        assert set(manifest.checkpoints) == set(manifest.wall_times) == trained
+        _, rows = read_csv(out / "per_seed.csv")
+        assert [row[:2] for row in rows] == [[str(seed), model] for seed in config.seeds for model in BENCHMARK_MODELS]
+        for row in rows:
+            covered_accuracy = float(row[2])
+            if row[1] == "wsgan_vector":
+                assert np.isnan([float(v) for v in row[2:]]).all()
+            else:
+                assert 0.0 <= covered_accuracy <= 1.0
+        for seed in config.seeds:
+            for model in ("infogan", "wsgan_vector", "wsgan_encoder"):
+                for name in (f"history_{model}.csv", f"checkpoint_{model}.json"):
+                    assert (out / f"seed_{seed}" / name).exists() == (model != "wsgan_vector")
+        assert verify_benchmark_dir(out) == []
+    _assert_same_outputs(tmp_path / "cpus1", tmp_path / "cpus2")
+
+
+def test_run_augmentation_passes_on_a_worker_training_error(monkeypatch, tmp_path):
+    def train(data, L, config):
+        raise TrainingDivergedError("g_loss", 0, float("inf"))
+
+    monkeypatch.setattr(harness, "train", train)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    with pytest.raises(TrainingDivergedError, match=r"^non-finite g_loss at epoch 0: inf$") as info:
+        run_augmentation(tiny_config(), n_synth=60)
+    assert (info.value.term, info.value.epoch, info.value.value) == ("g_loss", 0, float("inf"))
 
 
 @pytest.mark.filterwarnings("ignore:classes .* absent:RuntimeWarning")
