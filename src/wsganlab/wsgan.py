@@ -243,8 +243,11 @@ def generator_loss(d_fake) -> Tensor:
 
 
 def binary_cross_entropy(probs, targets: np.ndarray) -> Tensor:
+    """Mean BCE of each prob against its own target.  The targets take the
+    probs' shape, so (B,) targets score (B, 1) discriminator outputs row by
+    row, and a size mismatch raises."""
     p = clamp_probs(probs)
-    t = np.asarray(targets, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64).reshape(p.data.shape)
     pos = ad.mul(ad.log(p), t)
     neg = ad.mul(ad.log(ad.sub(1.0, p)), 1.0 - t)
     return ad.scale(ad.mean(ad.add(pos, neg)), -1.0)

@@ -140,6 +140,14 @@ def test_binary_cross_entropy_oracle():
     got = float(binary_cross_entropy(p, t).data)
     want = -np.mean(t * np.log(p) + (1 - t) * np.log(1 - p))
     assert np.isclose(got, want, atol=1e-12)
+    # (B, 1) probs, as the discriminator gives them, against (B,) targets: row by row
+    p = 1.0 / (1.0 + np.exp(-np.array([3.0, -1.0, 2.0, 0.5])))
+    t = np.array([1.0, 1.0, 0.0, 1.0])
+    got = float(binary_cross_entropy(p[:, None], t).data)
+    want = -np.mean(t * np.log(p) + (1 - t) * np.log(1 - p))
+    assert np.isclose(got, want, atol=1e-12) and np.isclose(got, 0.991, atol=5e-4)
+    with pytest.raises(ValueError):
+        binary_cross_entropy(p[:, None], t[:3])
 
 
 def test_info_loss_is_code_cross_entropy():
