@@ -304,11 +304,10 @@ def test_failed_training_is_recorded_and_the_sweep_goes_on(monkeypatch, tmp_path
         _, rows = read_csv(out / "per_seed.csv")
         assert [row[:2] for row in rows] == [[str(seed), model] for seed in config.seeds for model in BENCHMARK_MODELS]
         for row in rows:
-            covered_accuracy = float(row[2])
             if row[1] == "wsgan_vector":
                 assert np.isnan([float(v) for v in row[2:]]).all()
             else:
-                assert 0.0 <= covered_accuracy <= 1.0
+                assert 0.0 <= float(row[2]) <= 1.0  # covered accuracy
         for seed in config.seeds:
             for model in ("infogan", "wsgan_vector", "wsgan_encoder"):
                 for name in (f"history_{model}.csv", f"checkpoint_{model}.json"):
@@ -317,7 +316,7 @@ def test_failed_training_is_recorded_and_the_sweep_goes_on(monkeypatch, tmp_path
     _assert_same_outputs(tmp_path / "cpus1", tmp_path / "cpus2")
 
 
-def test_run_augmentation_passes_on_a_worker_training_error(monkeypatch, tmp_path):
+def test_run_augmentation_passes_on_a_worker_training_error(monkeypatch):
     def train(data, L, config):
         raise TrainingDivergedError("g_loss", 0, float("inf"))
 
