@@ -215,21 +215,21 @@ def clip(x, lo: float, hi: float):
     return _node(np.clip(xd, lo, hi), "clip", (x, lambda g: g * inside))
 
 
-def softmax(x, axis: int = -1):
+def softmax(x):
     xd = _data(x)
-    z = xd - xd.max(axis=axis, keepdims=True)
+    z = xd - xd.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    out = e / e.sum(axis=axis, keepdims=True)
-    return _node(out, "softmax", (x, lambda g: out * (g - (g * out).sum(axis=axis, keepdims=True))))
+    out = e / e.sum(axis=-1, keepdims=True)
+    return _node(out, "softmax", (x, lambda g: out * (g - (g * out).sum(axis=-1, keepdims=True))))
 
 
-def log_softmax(x, axis: int = -1):
+def log_softmax(x):
     xd = _data(x)
-    z = xd - xd.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
+    z = xd - xd.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     out = z - lse
     sm = np.exp(out)
-    return _node(out, "log_softmax", (x, lambda g: g - sm * g.sum(axis=axis, keepdims=True)))
+    return _node(out, "log_softmax", (x, lambda g: g - sm * g.sum(axis=-1, keepdims=True)))
 
 
 def mean(x):
@@ -363,10 +363,9 @@ class Adam:
     Adam is elementwise, so this equals one update per parameter.
     """
 
-    def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.offsets = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
         self.m = np.zeros(self.offsets[-1])
         self.v = np.zeros(self.offsets[-1])
@@ -388,7 +387,7 @@ class Adam:
         if not np.isfinite(g).all():
             raise NonFiniteGraphError("Adam: non-finite gradient")
         self.steps += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999  # the moment decay rates
         c1 = 1.0 - b1**self.steps
         c2 = 1.0 - b2**self.steps
         m, v = self.m, self.v
@@ -396,6 +395,6 @@ class Adam:
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        upd = self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        upd = self.lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
         for p, lo, hi in zip(self.params, self.offsets[:-1], self.offsets[1:]):
             p.data -= upd[lo:hi].reshape(p.data.shape)

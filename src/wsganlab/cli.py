@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
@@ -17,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import DataError, DatasetSpec, load_dataset, read_csv, read_json, save_dataset, synth_dataset, write_csv
+from .data import (DataError, DatasetSpec, load_dataset, read_csv, read_json, save_dataset, synth_dataset,
+                   write_csv, write_json)
 from .harness import (
     AUG_MODES,
     HarnessError,
@@ -178,10 +178,7 @@ def _cmd_fit_labelmodel(args) -> int:
     header = [f"p_{k}" for k in range(1, table.class_count + 1)] + ["covered"]
     rows = [list(row) + [bool(c)] for row, c in zip(table.probs, table.covered)]
     csv_path = write_csv(out / f"{args.name}_posteriors.csv", header, rows)
-    json_path = out / f"{args.name}.json"
-    with open(json_path, "w") as fh:
-        json.dump(info, fh, indent=2)
-        fh.write("\n")
+    json_path = write_json(out / f"{args.name}.json", info)
     print(f"wrote {csv_path} and {json_path}")
     return 0
 
@@ -222,7 +219,7 @@ def _cmd_benchmark(args) -> int:
 def _cmd_augment(args) -> int:
     config = read_json(ExperimentConfig, args.config) if args.config else default_benchmark_config()
     modes = list(AUG_MODES) if args.mode == "both" else [args.mode]
-    manifest = read_json(RunManifest, args.manifest) if args.manifest else None
+    manifest = read_json(RunManifest, args.manifest).resolved(args.manifest.parent) if args.manifest else None
     out_dir = _out_root(args) / args.dir_name
     rows = run_augmentation(config, n_synth=args.n_synth, modes=modes, out_dir=out_dir, manifest=manifest)
     print(f"wrote {out_dir / 'augmentation.csv'}")

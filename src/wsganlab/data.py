@@ -15,6 +15,7 @@ __all__ = [
     "DataError",
     "from_json",
     "read_json",
+    "write_json",
     "write_csv",
     "read_csv",
     "DatasetSpec",
@@ -69,14 +70,25 @@ def from_json(cls, obj, source, where: str = ""):
     return tuple(obj) if origin is tuple else obj
 
 
-def read_json(cls, path):
-    """`from_json(cls, ...)` on the contents of the JSON file at `path`."""
+def read_json(cls, path, version: int | None = None):
+    """`from_json(cls, ...)` on the contents of the JSON file at `path`.  With a
+    `version`, any other `format_version` is refused before any other key is checked."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    if version is not None and isinstance(obj, dict) and obj.get("format_version") != version:
+        raise DataError(f"{path}: unsupported format_version {obj.get('format_version')!r}, expected {version}")
     return from_json(cls, obj, path)
+
+
+def write_json(path, obj, sort_keys: bool = False) -> Path:
+    """Write `obj`, a dataclass or a JSON-encodable value, indented by 2 and newline-ended."""
+    path = Path(path)
+    obj = asdict(obj) if dataclasses.is_dataclass(obj) else obj
+    path.write_text(json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n")
+    return path
 
 
 def _fmt(value) -> str:
@@ -186,26 +198,18 @@ def nearest_prototype_labels(features: np.ndarray, spec: DatasetSpec) -> np.ndar
 def save_dataset(ds: Dataset, csv_path) -> tuple[Path, Path]:
     """CSV with columns x0..x{d-1},label plus a JSON sidecar holding the DatasetSpec fields."""
     csv_path = Path(csv_path)
-    json_path = csv_path.with_suffix(".json")
     d = ds.features.shape[1]
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i}" for i in range(d)] + ["label"])
         for row, lab in zip(ds.features, ds.labels):
             writer.writerow([repr(float(v)) for v in row] + [int(lab)])
-    with open(json_path, "w") as fh:
-        json.dump(asdict(_DatasetSidecar(1, ds.spec)), fh, indent=2)
-        fh.write("\n")
-    return csv_path, json_path
+    return csv_path, write_json(csv_path.with_suffix(".json"), _DatasetSidecar(1, ds.spec))
 
 
 def load_dataset(csv_path) -> Dataset:
     csv_path = Path(csv_path)
-    json_path = csv_path.with_suffix(".json")
-    sidecar = read_json(_DatasetSidecar, json_path)
-    if sidecar.format_version != 1:
-        raise DataError(f"{json_path}: unsupported format_version {sidecar.format_version!r}, expected 1")
-    spec = sidecar.spec
+    spec = read_json(_DatasetSidecar, csv_path.with_suffix(".json"), version=1).spec
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)

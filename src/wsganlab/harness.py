@@ -27,6 +27,7 @@ from .data import (
     save_dataset,
     synth_dataset,
     write_csv,
+    write_json,
 )
 from .labelmodel import (
     LfSpec,
@@ -181,6 +182,9 @@ def config_hash(config) -> str:
 
 @dataclass
 class RunManifest:
+    """A benchmark run's record.  In `manifest.json` the `files` and
+    `checkpoints` paths are relative to the manifest's own directory."""
+
     config_hash: str
     version: str
     seeds: list[int]
@@ -189,12 +193,10 @@ class RunManifest:
     wall_times: dict[str, float] = field(default_factory=dict)
     failures: list[dict] = field(default_factory=list)
 
-    def save_json(self, path) -> Path:
-        path = Path(path)
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
+    def resolved(self, base) -> RunManifest:
+        """This manifest with its file and checkpoint paths joined onto the directory `base`."""
+        return dataclasses.replace(self, files={k: str(Path(base, v)) for k, v in self.files.items()},
+                                   checkpoints={k: str(Path(base, v)) for k, v in self.checkpoints.items()})
 
 
 _N_GEN = 1000  # sample count for the generated-vs-real Gaussian distance
@@ -273,27 +275,32 @@ def _map_units(fn, jobs: list) -> list:
 _GAN_MODELS = (("infogan", "infogan"), ("wsgan_vector", "vector"), ("wsgan_encoder", "encoder"))
 
 
-def _gan_unit(config: ExperimentConfig, seed: int, model: str, mode: str, seed_dir: Path) -> tuple:
-    """Train one GAN model on one run seed, write its history and checkpoint,
-    and score it.  Returns (row, wall time, checkpoint path, error).  A failed
-    training gives a NaN row, no time or path, and the error's repr: data, so
-    it crosses a process boundary whatever the exception type.
+def _training_config(config: ExperimentConfig, seed: int, mode: str) -> TrainingConfig:
+    # every mode of a run seed trains from the same seed, for pairing
+    return dataclasses.replace(config.training, mode=mode, seed=derive_seed(seed, _STREAM_TRAIN))
+
+
+def _gan_unit(config: ExperimentConfig, seed: int, model: str, mode: str, out_dir: Path) -> tuple:
+    """Train one GAN model on one run seed, write its history and checkpoint
+    under `out_dir`, and score it.  Returns (row, wall time, checkpoint path
+    relative to `out_dir`, error).  A failed training gives a NaN row, no time
+    or path, and the error's repr: data, so it crosses a process boundary
+    whatever the exception type.
     """
     data, _specs, L = _seed_inputs(config, seed)
-    # every mode of a run seed trains from the same seed, for pairing
-    tcfg = dataclasses.replace(config.training, mode=mode, seed=derive_seed(seed, _STREAM_TRAIN))
     t0 = time.perf_counter()
     try:
-        bundle, history = train(data, L, tcfg)
+        bundle, history = train(data, L, _training_config(config, seed, mode))
     except Exception as exc:  # keep the sweep alive
         return [seed, model] + [float("nan")] * len(config.metrics), None, None, repr(exc)
     wall = time.perf_counter() - t0
-    history.save_csv(seed_dir / f"history_{model}.csv")
-    ckpt = save_bundle(bundle, seed_dir / f"checkpoint_{model}.json")
+    history.save_csv(out_dir / f"seed_{seed}/history_{model}.csv")
+    ckpt = f"seed_{seed}/checkpoint_{model}.json"
+    save_bundle(bundle, out_dir / ckpt)
     table = pseudolabel_table(bundle, data.features, L)
     gen_feats, _codes = generate_samples(bundle, _N_GEN, seed=derive_seed(seed, _STREAM_GEN))
     ari = history.records[-1][HISTORY_COLUMNS.index("ari")] if history.records else float("nan")
-    return _metric_row(seed, model, table, ari, data, gen_feats, config), wall, str(ckpt), None
+    return _metric_row(seed, model, table, ari, data, gen_feats, config), wall, ckpt, None
 
 
 def run_benchmark(config: ExperimentConfig, out_dir) -> RunManifest:
@@ -302,7 +309,8 @@ def run_benchmark(config: ExperimentConfig, out_dir) -> RunManifest:
 
     The label models run here; each (seed, GAN model) training is one unit of
     `_map_units`.  A failed model run is recorded in manifest.failures and
-    leaves NaN rows; remaining runs continue.
+    leaves NaN rows; remaining runs continue.  The returned manifest's paths
+    are joined onto `out_dir`; `manifest.json` stores them relative to it.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -324,8 +332,7 @@ def run_benchmark(config: ExperimentConfig, out_dir) -> RunManifest:
         label_results.append([("majority_vote", mv_row, None, None, None),
                               ("dawid_skene", ds_row, None, None, ds_error)])
 
-    jobs = [(config, seed, model, mode, out_dir / f"seed_{seed}")
-            for seed in config.seeds for model, mode in _GAN_MODELS]
+    jobs = [(config, seed, model, mode, out_dir) for seed in config.seeds for model, mode in _GAN_MODELS]
     gan_results = iter(_map_units(_gan_unit, jobs))
     rows = []
     for seed, results in zip(config.seeds, label_results):
@@ -338,18 +345,12 @@ def run_benchmark(config: ExperimentConfig, out_dir) -> RunManifest:
                 manifest.wall_times[f"{model}_seed{seed}"] = wall
                 manifest.checkpoints[f"{model}_seed{seed}"] = ckpt
 
-    header = ["seed", "model"] + list(config.metrics)
-    manifest.files["per_seed"] = str(write_csv(out_dir / "per_seed.csv", header, rows))
-    summary_rows = summarize_rows(rows, config.metrics)
-    manifest.files["summary"] = str(
-        write_csv(out_dir / "summary.csv", ["model", "metric", "mean", "std"], summary_rows)
-    )
-    with open(out_dir / "config.json", "w") as fh:
-        json.dump(asdict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    manifest.files["config"] = str(out_dir / "config.json")
-    manifest.save_json(out_dir / "manifest.json")
-    return manifest
+    write_csv(out_dir / "per_seed.csv", ["seed", "model"] + list(config.metrics), rows)
+    write_csv(out_dir / "summary.csv", ["model", "metric", "mean", "std"], summarize_rows(rows, config.metrics))
+    write_json(out_dir / "config.json", config, sort_keys=True)
+    manifest.files = {"per_seed": "per_seed.csv", "summary": "summary.csv", "config": "config.json"}
+    write_json(out_dir / "manifest.json", manifest, sort_keys=True)
+    return manifest.resolved(out_dir)
 
 
 def summarize_rows(rows: list, metrics) -> list:
@@ -442,11 +443,8 @@ def run_theory_suite(grid: TheoryGridConfig | None = None, out_dir=None) -> Theo
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         report.save_json(out_dir / "theory_report.json")
-        with open(out_dir / "theory_report.txt", "w") as fh:
-            fh.write(report.to_text())
-        with open(out_dir / "theory_grid.json", "w") as fh:
-            json.dump(asdict(grid), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        (out_dir / "theory_report.txt").write_text(report.to_text())
+        write_json(out_dir / "theory_grid.json", grid, sort_keys=True)
     return report
 
 
@@ -511,8 +509,7 @@ def run_augmentation(
 def _encoder_unit(config: ExperimentConfig, seed: int, path: Path) -> str:
     """Train one run seed's encoder as `run_benchmark` does; save it to `path`."""
     data, _specs, L = _seed_inputs(config, seed)
-    tcfg = dataclasses.replace(config.training, mode="encoder", seed=derive_seed(seed, _STREAM_TRAIN))
-    bundle, _history = train(data, L, tcfg)
+    bundle, _history = train(data, L, _training_config(config, seed, "encoder"))
     return str(save_bundle(bundle, path))
 
 

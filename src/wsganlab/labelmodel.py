@@ -7,14 +7,13 @@ ties toward the lowest class index (numpy's first-maximum rule).
 from __future__ import annotations
 
 import csv
-import json
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .data import read_json
+from .data import read_json, write_json
 
 __all__ = [
     "WeakSupError",
@@ -448,7 +447,6 @@ def save_label_matrix(lm: LabelMatrix, csv_path) -> tuple[Path, Path]:
     from the synthetic generator.  Returns (csv_path, json_path).
     """
     csv_path = Path(csv_path)
-    json_path = csv_path.with_suffix(".json")
     votes, C = lm.votes, lm.class_count
     if votes.size and (votes.min() < 0 or votes.max() > C):  # the gather would wrap a negative vote
         raise WeakSupError(f"cannot write {csv_path}: votes outside 0..{C}")
@@ -463,10 +461,7 @@ def save_label_matrix(lm: LabelMatrix, csv_path) -> tuple[Path, Path]:
             text = np.concatenate((sep[block[:, :-1]].view(np.uint8), end[block[:, -1:]].view(np.uint8)), axis=1)
             fh.write(text[text != 0] if C > 9 else text)  # one-digit votes need no padding
     sidecar = _LabelMatrixSidecar(1, lm.class_count, lm.num_lfs, lm.num_samples, lm.lf_specs)
-    with open(json_path, "w") as fh:
-        json.dump(asdict(sidecar), fh, indent=2)
-        fh.write("\n")
-    return csv_path, json_path
+    return csv_path, write_json(csv_path.with_suffix(".json"), sidecar)
 
 
 def _read_votes(fh, num_lfs: int, csv_path: Path) -> np.ndarray:
@@ -492,10 +487,7 @@ def _read_votes(fh, num_lfs: int, csv_path: Path) -> np.ndarray:
 def load_label_matrix(csv_path) -> LabelMatrix:
     """Inverse of save_label_matrix; validates shape against the sidecar."""
     csv_path = Path(csv_path)
-    json_path = csv_path.with_suffix(".json")
-    sidecar = read_json(_LabelMatrixSidecar, json_path)
-    if sidecar.format_version != 1:
-        raise WeakSupError(f"{json_path}: unsupported format_version {sidecar.format_version!r}, expected 1")
+    sidecar = read_json(_LabelMatrixSidecar, csv_path.with_suffix(".json"), version=1)
     with open(csv_path, newline="") as fh:
         header = next(csv.reader([fh.readline()]))
         if header != [f"lf_{j}" for j in range(len(header))]:

@@ -6,12 +6,13 @@ pass/fail verdict per inequality; nothing is asserted silently.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
+
+from .data import write_json
 
 __all__ = [
     "TheoryError",
@@ -104,11 +105,7 @@ class TheoryReport:
         return [e for e in self.entries if not e.passed]
 
     def save_json(self, path) -> Path:
-        path = Path(path)
-        with open(path, "w") as fh:
-            json.dump({"passed": self.passed, "entries": [e.to_dict() for e in self.entries]}, fh, indent=2)
-            fh.write("\n")
-        return path
+        return write_json(path, {"passed": self.passed, "entries": [e.to_dict() for e in self.entries]})
 
     def to_text(self) -> str:
         lines = []

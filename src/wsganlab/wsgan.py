@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam, Tensor
-from .data import from_json, read_json, write_csv
+from .data import read_json, write_csv
 from .labelmodel import (
     PosteriorTable,
     _as_votes,
@@ -529,6 +529,9 @@ def generate_samples(
 # augmentation
 
 
+_BALANCE_TOLERANCE = 5.0  # the largest max/min class-share ratio a balance check passes
+
+
 @dataclass
 class BalanceReport:
     passed: bool
@@ -543,8 +546,8 @@ class BalanceReport:
         return f"max/min share ratio {self.ratio:.3f}"
 
 
-def class_balance_check(labels: np.ndarray, class_count: int, tolerance: float = 5.0) -> BalanceReport:
-    """Fail when any class is absent or share ratio exceeds `tolerance`."""
+def class_balance_check(labels: np.ndarray, class_count: int) -> BalanceReport:
+    """Fail when any class is absent or the share ratio exceeds `_BALANCE_TOLERANCE`."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size < class_count:
         raise TrainingError("need at least class_count labels for a balance check")
@@ -552,7 +555,7 @@ def class_balance_check(labels: np.ndarray, class_count: int, tolerance: float =
     shares = counts / labels.size
     missing = [c for c in range(1, class_count + 1) if counts[c - 1] == 0]
     ratio = float("inf") if missing else float(shares.max() / shares.min())
-    passed = not missing and ratio <= tolerance
+    passed = not missing and ratio <= _BALANCE_TOLERANCE
     return BalanceReport(passed=passed, counts=counts, shares=shares, ratio=ratio, missing=missing)
 
 
@@ -573,7 +576,6 @@ def augment_dataset(
     mode: str,
     lf_applicator=None,
     seed: int = 0,
-    balance_tolerance: float = 5.0,
 ) -> AugmentationResult:
     """Append n_synth generated points with pseudolabels to a training set.
 
@@ -606,7 +608,7 @@ def augment_dataset(
         table = pseudolabel_table(bundle, feats, votes)
     new_labels = crisp_labels(table)
 
-    balance = class_balance_check(new_labels, bundle.class_count, balance_tolerance)
+    balance = class_balance_check(new_labels, bundle.class_count)
     if not balance.passed:
         raise AugmentationRejectedError(balance)
     return AugmentationResult(
@@ -652,11 +654,7 @@ def save_bundle(bundle: ModelBundle, path, rng_state: dict | None = None) -> Pat
 
 
 def load_bundle(path) -> tuple[ModelBundle, dict | None]:
-    obj = read_json(dict, path)
-    version = obj.get("format_version")
-    if version != _CHECKPOINT_VERSION:
-        raise TrainingError(f"checkpoint {path}: unsupported format_version {version!r}, expected {_CHECKPOINT_VERSION}")
-    ckpt = from_json(_Checkpoint, obj, path)
+    ckpt = read_json(_Checkpoint, path, version=_CHECKPOINT_VERSION)
     try:  # C, m and d: the code head bias, the LF weight vector, the first trunk layer's rows
         sizes = [len(ckpt.params[name]) for name in ("code_head.b", "weight_vector", "trunk.0.w")]
     except KeyError as exc:

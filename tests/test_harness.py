@@ -3,6 +3,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import shutil
 import warnings
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from wsganlab.harness import (
     verify_benchmark_dir,
 )
 from wsganlab.metrics import ClassifierConfig
-from wsganlab.wsgan import TrainingConfig, TrainingDivergedError
+from wsganlab.wsgan import TrainingConfig, TrainingDivergedError, load_bundle
 
 
 def tiny_config(**kwargs):
@@ -207,11 +208,25 @@ def test_benchmark_manifest_roundtrip(tiny_run):
     _, out, manifest = tiny_run
     loaded = read_json(RunManifest, out / "manifest.json")
     assert loaded.config_hash == manifest.config_hash
-    assert loaded.files == manifest.files
-    assert set(loaded.checkpoints) == {
-        f"{model}_seed{seed}" for model in ("infogan", "wsgan_vector", "wsgan_encoder") for seed in (11, 12)
+    # stored relative to the manifest's directory
+    assert loaded.files == {"per_seed": "per_seed.csv", "summary": "summary.csv", "config": "config.json"}
+    assert loaded.checkpoints == {
+        f"{model}_seed{seed}": f"seed_{seed}/checkpoint_{model}.json"
+        for model in ("infogan", "wsgan_vector", "wsgan_encoder") for seed in (11, 12)
     }
     assert all(t >= 0 for t in loaded.wall_times.values())
+    assert loaded.resolved(out) == manifest  # the returned manifest joins them onto the run directory
+    assert all(Path(p).is_file() for p in [*manifest.files.values(), *manifest.checkpoints.values()])
+
+
+def test_benchmark_checkpoints_hold_their_models_mode(tiny_run):
+    _, out, _ = tiny_run
+    manifest = read_json(RunManifest, out / "manifest.json").resolved(out)
+    modes = {"infogan": "infogan", "wsgan_vector": "vector", "wsgan_encoder": "encoder"}
+    assert len(manifest.checkpoints) == len(modes) * 2
+    for key, path in manifest.checkpoints.items():
+        bundle, _state = load_bundle(path)
+        assert bundle.config.mode == modes[key.rsplit("_seed", 1)[0]], key
 
 
 def test_benchmark_verify_clean_then_detects_tamper(tiny_run):
@@ -458,6 +473,26 @@ def test_cli_benchmark_report_augment(tmp_path):
     assert rc in (0, 1)  # balance may reject on a 2-epoch model; either way the CSV lands
     header, rows = read_csv(out / "aug" / "augmentation.csv")
     assert header == AUG_HEADER and len(rows) == 2
+
+
+@pytest.mark.filterwarnings("ignore:classes .* absent:RuntimeWarning")
+def test_cli_augment_reads_a_manifest_from_anywhere(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dataclasses.asdict(tiny_config(seeds=(11,)))))
+    work, elsewhere = tmp_path / "work", tmp_path / "elsewhere"
+    work.mkdir()
+    elsewhere.mkdir()
+    monkeypatch.chdir(work)
+    assert run_cli("benchmark", "--out", "runs", "--config", cfg_path, "--dir-name", "b") == 0
+    monkeypatch.chdir(elsewhere)
+    args = ("augment", "--out", "aug", "--config", cfg_path, "--n-synth", "40", "--manifest")
+    # seed 11's lf_pl augmentation passes the balance check, so a run that finds its checkpoints exits 0
+    assert run_cli(*args, work / "runs" / "b" / "manifest.json") == 0
+    moved = shutil.copytree(work / "runs" / "b", tmp_path / "moved")
+    shutil.rmtree(work / "runs")
+    assert run_cli(*args, moved / "manifest.json", "--dir-name", "aug2") == 0
+    assert (elsewhere / "aug" / "augmentation" / "augmentation.csv").read_bytes() == (
+        elsewhere / "aug" / "aug2" / "augmentation.csv").read_bytes()
 
 
 def test_cli_theory_exit_codes(tmp_path):

@@ -1,6 +1,6 @@
 """Source hygiene: every name a package module imports is used in it, every
-name it exports has a user outside the tests, and the package runs on numpy
-alone.
+name it exports has a user outside the tests, every indented JSON file is
+written by `data.write_json`, and the package runs on numpy alone.
 
 `__init__.py` is exempt from both name checks because its imports are the
 package's re-exports.
@@ -44,6 +44,30 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def json_file_writes(source: str) -> list[str]:
+    """`json.dump` calls, and `json.dumps` calls given an `indent`, with their lines."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"):
+            name = node.func.attr
+            if name == "dump" or (name == "dumps" and any(k.arg == "indent" for k in node.keywords)):
+                found.append(f"json.{name} (line {node.lineno})")
+    return found
+
+
+def test_json_file_write_detector():
+    source = ("import json\njson.dump(obj, fh)\njson.dumps(obj)\njson.loads(text)\n"
+              "json.dumps(obj, sort_keys=True, separators=(',', ':'))\njson.dumps(obj, indent=2)\n")
+    assert json_file_writes(source) == ["json.dump (line 2)", "json.dumps (line 6)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "data.py"], ids=lambda p: p.name)
+def test_json_files_go_through_write_json(path):
+    # the compact one-line checkpoint and config_hash's canonical text are not files of that format
+    assert json_file_writes(path.read_text()) == []
 
 
 def _exports(tree) -> list[str]:

@@ -13,8 +13,8 @@ import pytest
 import wsganlab.autodiff as ad
 import wsganlab.wsgan as wsgan
 from wsganlab.autodiff import Tensor, backward, check_gradients_params
-from wsganlab.data import DatasetSpec, synth_dataset
-from wsganlab.labelmodel import LfSpec, generate_synthetic_lfs, weighted_softmax_posterior
+from wsganlab.data import DataError, DatasetSpec, synth_dataset
+from wsganlab.labelmodel import LfSpec, crisp_labels, generate_synthetic_lfs, weighted_softmax_posterior
 from wsganlab.wsgan import (
     AugmentationRejectedError,
     HISTORY_COLUMNS,
@@ -523,7 +523,7 @@ def test_generate_samples_deterministic_and_fixed_class():
 def test_class_balance_check():
     ok = class_balance_check(np.array([1, 1, 2, 2, 3, 3]), 3)
     assert ok.passed and ok.ratio == 1.0
-    skew = class_balance_check(np.array([1] * 50 + [2] * 8 + [3] * 2), 3, tolerance=5.0)
+    skew = class_balance_check(np.array([1] * 50 + [2] * 8 + [3] * 2), 3)
     assert not skew.passed and skew.ratio > 5.0
     missing = class_balance_check(np.array([1, 1, 2, 2]), 3)
     assert not missing.passed and missing.missing == [3]
@@ -538,6 +538,25 @@ def test_augment_appends_and_reports_balance():
     result = augment_dataset(bundle, data.features, base_y, 0, "synthetic_pl")
     assert result.appended == 0 and result.balance is None
     assert result.features.shape == data.features.shape
+
+
+@pytest.mark.parametrize("mode", ["synthetic_pl", "lf_pl"])
+def test_augment_appends_generated_points_with_their_pseudolabels(mode):
+    bundle = small_bundle(0)
+    bundle.code_to_label.w.data[:] = 1000 * np.eye(3)  # the code route labels by the code head's argmax
+    base_x, base_y = np.zeros((5, 2)), np.array([1, 2, 3, 1, 2])
+
+    def applicator(features, rng):  # LF j votes class j % 3 + 1 on about 30% of the points
+        return np.where(rng.random((features.shape[0], 4)) < 0.3, np.arange(4) % 3 + 1, 0)
+
+    n, seed = 60, 1
+    result = augment_dataset(bundle, base_x, base_y, n, mode, lf_applicator=applicator, seed=seed)
+    feats, _codes = generate_samples(bundle, n, seed=seed)
+    votes = applicator(feats, np.random.default_rng((seed, 1))) if mode == "lf_pl" else None
+    labels = crisp_labels(pseudolabel_table(bundle, feats, votes))
+    assert result.balance.passed and result.appended == n
+    assert (result.features == np.concatenate([base_x, feats])).all()
+    assert (result.labels == np.concatenate([base_y, labels])).all()
 
 
 def test_augment_rejects_collapsed_labels():
@@ -607,11 +626,11 @@ def test_load_rejects_bad_version_and_shape(tmp_path):
     payload["format_version"] = 99
     with open(path, "w") as fh:
         json.dump(payload, fh)
-    with pytest.raises(TrainingError):
+    with pytest.raises(DataError):
         load_bundle(path)
     version_1 = {**payload, "format_version": 1, "config": {**payload["config"], "class_count": 3}}
     path.write_text(json.dumps(version_1))  # version 1 stored the network sizes in the config
-    with pytest.raises(TrainingError, match=r"c\.json: unsupported format_version 1, expected 2"):
+    with pytest.raises(DataError, match=r"c\.json: unsupported format_version 1, expected 2"):
         load_bundle(path)
     payload["format_version"] = 2
     payload["params"]["weight_vector"] = [0.0, 0.0]  # wrong length
