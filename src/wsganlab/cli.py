@@ -219,7 +219,9 @@ def _cmd_benchmark(args) -> int:
 def _cmd_augment(args) -> int:
     config = read_json(ExperimentConfig, args.config) if args.config else default_benchmark_config()
     modes = list(AUG_MODES) if args.mode == "both" else [args.mode]
-    manifest = read_json(RunManifest, args.manifest).resolved(args.manifest.parent) if args.manifest else None
+    manifest = None
+    if args.manifest:
+        manifest = read_json(RunManifest, args.manifest, version=1).resolved(args.manifest.parent)
     out_dir = _out_root(args) / args.dir_name
     rows = run_augmentation(config, n_synth=args.n_synth, modes=modes, out_dir=out_dir, manifest=manifest)
     print(f"wrote {out_dir / 'augmentation.csv'}")

@@ -185,6 +185,7 @@ class RunManifest:
     """A benchmark run's record.  In `manifest.json` the `files` and
     `checkpoints` paths are relative to the manifest's own directory."""
 
+    format_version: int
     config_hash: str
     version: str
     seeds: list[int]
@@ -314,7 +315,8 @@ def run_benchmark(config: ExperimentConfig, out_dir) -> RunManifest:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(config_hash=config_hash(config), version=__version__, seeds=list(config.seeds))
+    manifest = RunManifest(format_version=1, config_hash=config_hash(config), version=__version__,
+                           seeds=list(config.seeds))
     C = config.dataset.class_count
     label_results = []  # per seed: (model, row, wall time, checkpoint, error), as _gan_unit gives them
     for seed in config.seeds:
@@ -520,7 +522,7 @@ def _classifier_unit(config: ExperimentConfig, seed: int, n_synth: int, mode, ch
     check rejects the augmentation."""
     data, specs, L = _seed_inputs(config, seed)
     test = synth_dataset(dataclasses.replace(config.dataset, seed=derive_seed(seed, _STREAM_TEST)))
-    bundle, _state = load_bundle(checkpoint)
+    bundle = load_bundle(checkpoint)
     features, labels = data.features, crisp_labels(pseudolabel_table(bundle, data.features, L))
     if mode is not None:
         try:

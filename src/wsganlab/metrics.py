@@ -201,7 +201,6 @@ class ClassifierConfig:
     hidden_dim: int = 32
     epochs: int = 30
     batch_size: int = 64
-    learning_rate: float = 1e-3
     seed: int = 0
 
 
@@ -230,7 +229,7 @@ def train_eval_classifier(
 
     rng = np.random.default_rng(config.seed)
     net = MLP([tx.shape[1], config.hidden_dim, config.hidden_dim, C], rng)
-    opt = ad.Adam(net.params, lr=config.learning_rate)
+    opt = ad.Adam(net.params, lr=1e-3)
     targets = one_hot(ty, C)
     n = tx.shape[0]
     for _ in range(config.epochs):

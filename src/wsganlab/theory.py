@@ -427,9 +427,9 @@ def hellinger_tv_entry(num_pairs: int = 1000, max_support: int = 32, seed: int =
 class TheoryInputs:
     """Inputs for the end-model risk bound.
 
-    `alpha_margin` is the LF margin (each LF correct w.p. 1/2 + alpha_margin);
-    it is unrelated to the info-loss weight in TrainingConfig.  `c_g` is an
-    opaque density-learning constant, a free input never estimated.
+    `alpha_margin` is the LF margin (each LF correct w.p. 1/2 + alpha_margin,
+    so an LF error rate eps_lambda is 1/2 - alpha_margin).  `c_g` is an opaque
+    density-learning constant, a free input never estimated.
     """
 
     rademacher: float = 0.05
@@ -442,7 +442,6 @@ class TheoryInputs:
     m: int = 12
     alpha_margin: float = 0.25
     loss_bound: float = 1.0
-    eps_lambda: float = 0.25
 
     def __post_init__(self):
         if self.rademacher < 0:
@@ -457,8 +456,6 @@ class TheoryInputs:
             raise TheoryError("k, d, m must be >= 1")
         if not 0.0 < self.alpha_margin <= 0.5:
             raise TheoryError("alpha_margin must lie in (0, 0.5]")
-        if not 0.0 < self.eps_lambda < 0.5:
-            raise TheoryError("eps_lambda must lie in (0, 0.5)")
 
 
 def generalization_bound(inputs: TheoryInputs) -> float:

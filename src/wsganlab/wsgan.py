@@ -91,15 +91,7 @@ class TrainingConfig:
     hidden_dim: int = 64
     epochs: int = 60
     batch_size: int = 16
-    info_weight: float = 1.0
     align_weight: float = 1.0
-    penalty_decay: float = 1.5
-    lr_d: float = 4e-4
-    lr_g: float = 1e-4
-    lr_info: float = 1e-4
-    lr_align: float = 8e-5
-    label_smoothing: float = 0.1
-    label_flip_prob: float = 0.03
     seed: int = 0
 
     def __post_init__(self):
@@ -109,17 +101,8 @@ class TrainingConfig:
             raise TrainingError("z_dim and hidden_dim must be >= 1")
         if self.epochs < 0 or self.batch_size < 1:
             raise TrainingError("epochs must be >= 0 and batch_size >= 1")
-        for name in ("lr_d", "lr_g", "lr_info", "lr_align"):
-            if getattr(self, name) <= 0:
-                raise TrainingError(f"{name} must be positive")
-        if self.penalty_decay < 0:
-            raise TrainingError("penalty_decay must be >= 0")
-        if self.info_weight < 0 or self.align_weight < 0:
-            raise TrainingError("loss weights must be >= 0")
-        if not 0.0 <= self.label_smoothing < 0.5:
-            raise TrainingError("label_smoothing must lie in [0, 0.5)")
-        if not 0.0 <= self.label_flip_prob < 0.5:
-            raise TrainingError("label_flip_prob must lie in [0, 0.5)")
+        if self.align_weight < 0:
+            raise TrainingError("align_weight must be >= 0")
 
 class ModelBundle:
     """All networks plus their four Adam optimizers, sized by the data: C
@@ -152,10 +135,10 @@ class ModelBundle:
         self.label_to_code = Linear(C, C, rng)
         self.weight_vector = Tensor(np.zeros(m), requires_grad=True)
 
-        self.opt_disc = Adam(self.disc_params(), lr=config.lr_d)
-        self.opt_gen = Adam(self.gen_params(), lr=config.lr_g)
-        self.opt_info = Adam(self.info_params(), lr=config.lr_info)
-        self.opt_align = Adam(self.align_params(), lr=config.lr_align)
+        self.opt_disc = Adam(self.disc_params(), lr=4e-4)
+        self.opt_gen = Adam(self.gen_params(), lr=1e-4)
+        self.opt_info = Adam(self.info_params(), lr=1e-4)
+        self.opt_align = Adam(self.align_params(), lr=8e-5)
 
     # parameter groups, one per loss term
     def disc_params(self) -> list[Tensor]:
@@ -294,7 +277,7 @@ def alignment_loss(
     The label-model posterior is built from weights theta = sigmoid of the
     weight head applied to *detached* trunk features (encoder) or of the free
     vector; gradients through theta therefore never reach the trunk.  The
-    penalty (C / (epoch*decay + 1)) * ||theta - 0.5||^2 is summed over the m
+    penalty (C / (1.5 epoch + 1)) * ||theta - 0.5||^2 is summed over the m
     weights and averaged over batch rows.
     """
     if epoch < 0:
@@ -317,7 +300,7 @@ def alignment_loss(
     ce_code_side = cross_entropy(bundle.label_posterior_from_code(code_probs), ad.detach(label_post))
     ce_label_side = cross_entropy(bundle.code_posterior_from_label(label_post), ad.detach(code_probs))
 
-    multiplier = C / (epoch * bundle.config.penalty_decay + 1.0)
+    multiplier = C / (epoch * 1.5 + 1.0)
     dev = ad.sub(weights, 0.5)
     penalty = ad.scale(ad.total(ad.mul(dev, dev)), multiplier / per_row)
 
@@ -365,7 +348,8 @@ def train(dataset, L, config: TrainingConfig) -> tuple[ModelBundle, TrainingHist
     """Deterministic four-step training loop.
 
     Per batch: (1) discriminator step on real-vs-generated with label
-    smoothing and flipping; (2) non-saturating generator step; (3) info step
+    smoothing (targets 0.9 / 0.1) and flipping (each target swapped with
+    probability 0.03); (2) non-saturating generator step; (3) info step
     tying codes to generated samples; (4) in encoder/vector modes, the
     alignment step on the covered rows of the batch.  RNG draw order per
     batch: generator inputs for step 1, two flip masks, generator inputs for
@@ -392,8 +376,7 @@ def train(dataset, L, config: TrainingConfig) -> tuple[ModelBundle, TrainingHist
     n, C, B = x.shape[0], dataset.spec.class_count, config.batch_size
     bundle = ModelBundle(config, C, votes.shape[1], x.shape[1], rng)
     history = TrainingHistory()
-    smoothing = config.label_smoothing
-    real_target, fake_target = 1.0 - smoothing, smoothing
+    real_target, fake_target = 0.9, 0.1
     align_active = config.mode != "infogan"
 
     for epoch in range(config.epochs):
@@ -408,8 +391,8 @@ def train(dataset, L, config: TrainingConfig) -> tuple[ModelBundle, TrainingHist
             # fixed draw order (see docstring)
             z_d = rng.standard_normal((nb, config.z_dim))
             b_d = rng.integers(1, C + 1, size=nb)
-            flip_real = rng.random(nb) < config.label_flip_prob
-            flip_fake = rng.random(nb) < config.label_flip_prob
+            flip_real = rng.random(nb) < 0.03
+            flip_fake = rng.random(nb) < 0.03
             z_g = rng.standard_normal((nb, config.z_dim))
             b_g = rng.integers(1, C + 1, size=nb)
             z_i = rng.standard_normal((nb, config.z_dim))
@@ -436,7 +419,7 @@ def train(dataset, L, config: TrainingConfig) -> tuple[ModelBundle, TrainingHist
             code_probs = bundle.code_posterior(bundle.features(bundle.generate(z_i, b_i)))
             raw_info = info_loss(one_hot(b_i, C), code_probs)
             sums["info"] += _check_finite(float(raw_info.data), "info_loss", epoch)
-            bundle.opt_info.step(ad.scale(raw_info, config.info_weight))
+            bundle.opt_info.step(raw_info)
 
             # (4) alignment on the covered rows of this batch
             if align_active:
@@ -624,7 +607,7 @@ def augment_dataset(
 # checkpointing
 
 
-_CHECKPOINT_VERSION = 2
+_CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -632,11 +615,10 @@ class _Checkpoint:
     format_version: int
     config: TrainingConfig
     params: dict[str, list]
-    rng_state: dict | None = None
 
 
-def save_bundle(bundle: ModelBundle, path, rng_state: dict | None = None) -> Path:
-    """Versioned JSON checkpoint: config, every parameter array, RNG state.
+def save_bundle(bundle: ModelBundle, path) -> Path:
+    """Versioned JSON checkpoint: config and every parameter array.
 
     The network sizes are not stored: `load_bundle` reads them off the
     parameter shapes.  Optimizer moments are not serialized; a loaded bundle
@@ -647,13 +629,12 @@ def save_bundle(bundle: ModelBundle, path, rng_state: dict | None = None) -> Pat
         "format_version": _CHECKPOINT_VERSION,
         "config": asdict(bundle.config),
         "params": {name: t.data.tolist() for name, t in bundle.named_params()},
-        "rng_state": rng_state,
     }
     path.write_text(json.dumps(payload) + "\n")  # dumps, unlike dump, runs the C encoder
     return path
 
 
-def load_bundle(path) -> tuple[ModelBundle, dict | None]:
+def load_bundle(path) -> ModelBundle:
     ckpt = read_json(_Checkpoint, path, version=_CHECKPOINT_VERSION)
     try:  # C, m and d: the code head bias, the LF weight vector, the first trunk layer's rows
         sizes = [len(ckpt.params[name]) for name in ("code_head.b", "weight_vector", "trunk.0.w")]
@@ -669,4 +650,4 @@ def load_bundle(path) -> tuple[ModelBundle, dict | None]:
         if stored.shape != tensor.data.shape:
             raise TrainingError(f"checkpoint param {name} has shape {stored.shape}, expected {tensor.data.shape}")
         tensor.data = stored
-    return bundle, ckpt.rng_state
+    return bundle

@@ -122,13 +122,13 @@ def _config_objects():
         DatasetSpec(class_count=3, radius=2.5, seed=9),
         LfSpec(target_class=2, accuracy=0.75, propensity=0.2, seed=5),
         LfPlan(num_lfs=5, accuracy_range=(0.6, 0.8)),
-        TrainingConfig(mode="vector", lr_d=3e-4),
+        TrainingConfig(mode="vector", align_weight=0.5),
         ClassifierConfig(hidden_dim=8),
         ExperimentConfig(),
         ExperimentConfig(dataset=DatasetSpec(class_count=3), seeds=(4, 5), metrics=("ari",)),
         TheoryGridConfig(m_values=(3,), alpha_values=(0.25,)),
         RunManifest(
-            config_hash="ab", version="0.1.0", seeds=[1, 2], files={"summary": "s.csv"},
+            format_version=1, config_hash="ab", version="0.1.0", seeds=[1, 2], files={"summary": "s.csv"},
             wall_times={"infogan_seed1": 0.5}, failures=[{"seed": 1, "model": "ds", "error": "x"}],
         ),
     ]

@@ -33,7 +33,7 @@ from wsganlab.harness import (
     verify_benchmark_dir,
 )
 from wsganlab.metrics import ClassifierConfig
-from wsganlab.wsgan import TrainingConfig, TrainingDivergedError, load_bundle
+from wsganlab.wsgan import ModelBundle, TrainingConfig, TrainingDivergedError, load_bundle, save_bundle
 
 
 def tiny_config(**kwargs):
@@ -206,7 +206,7 @@ def test_benchmark_outputs(tiny_run):
 
 def test_benchmark_manifest_roundtrip(tiny_run):
     _, out, manifest = tiny_run
-    loaded = read_json(RunManifest, out / "manifest.json")
+    loaded = read_json(RunManifest, out / "manifest.json", version=1)
     assert loaded.config_hash == manifest.config_hash
     # stored relative to the manifest's directory
     assert loaded.files == {"per_seed": "per_seed.csv", "summary": "summary.csv", "config": "config.json"}
@@ -225,7 +225,7 @@ def test_benchmark_checkpoints_hold_their_models_mode(tiny_run):
     modes = {"infogan": "infogan", "wsgan_vector": "vector", "wsgan_encoder": "encoder"}
     assert len(manifest.checkpoints) == len(modes) * 2
     for key, path in manifest.checkpoints.items():
-        bundle, _state = load_bundle(path)
+        bundle = load_bundle(path)
         assert bundle.config.mode == modes[key.rsplit("_seed", 1)[0]], key
 
 
@@ -363,8 +363,23 @@ def test_run_augmentation_schema(tiny_run, tmp_path):
             assert np.isnan(float(rec[3])) and np.isnan(float(rec[4]))
 
 
+def test_run_augmentation_accepts_a_decisive_code_route(tmp_path):
+    # an untrained encoder whose code route labels by the code head's argmax; the tiny run's
+    # 2-epoch encoders, given the same map, put 34 of seed 11's 60 generated points in one class
+    config = tiny_config()
+    bundle = ModelBundle(config.training, 3, 5, 2, np.random.default_rng(0))
+    bundle.code_to_label.w.data[:] = 1000 * np.eye(3)
+    ckpt = str(save_bundle(bundle, tmp_path / "encoder.json"))
+    manifest = RunManifest(format_version=1, config_hash="ab", version="0.1.0", seeds=list(config.seeds),
+                           checkpoints={f"wsgan_encoder_seed{s}": ckpt for s in config.seeds})
+    rows = run_augmentation(config, n_synth=60, manifest=manifest)
+    assert [(r[0], r[1], r[5]) for r in rows] == [(s, m, True) for s in config.seeds for m in harness.AUG_MODES]
+    for _seed, _mode, baseline, augmented, delta, _passed, _n in rows:
+        assert np.isfinite([baseline, augmented]).all() and delta == augmented - baseline
+
+
 def test_run_augmentation_needs_a_checkpoint_per_seed(tmp_path):
-    manifest = RunManifest(config_hash="ab", version="0.1.0", seeds=[1],
+    manifest = RunManifest(format_version=1, config_hash="ab", version="0.1.0", seeds=[1],
                            checkpoints={"wsgan_encoder_seed1": str(tmp_path / "ckpt.json")})
     with pytest.raises(HarnessError, match="^manifest has no encoder checkpoint wsgan_encoder_seed2$"):
         run_augmentation(tiny_config(seeds=(2,)), n_synth=60, out_dir=tmp_path / "aug", manifest=manifest)
@@ -518,13 +533,18 @@ def test_cli_errors_return_one(tmp_path, capsys):
     assert run_cli("report", "--dir", tmp_path / "nope") == 1
     cfg_path, manifest_path = tmp_path / "cfg.json", tmp_path / "manifest.json"
     cfg_path.write_text(json.dumps(dataclasses.asdict(tiny_config(seeds=(2,)))))
-    manifest_path.write_text(json.dumps({"config_hash": "ab", "version": "0.1.0", "seeds": [1],
+    manifest_path.write_text(json.dumps({"format_version": 1, "config_hash": "ab", "version": "0.1.0", "seeds": [1],
                                          "checkpoints": {"wsgan_encoder_seed1": "ckpt.json"}}))
     capsys.readouterr()
     args = ("augment", "--out", tmp_path, "--config", cfg_path, "--manifest", manifest_path)
     assert run_cli(*args) == 1
     err = capsys.readouterr().err
     assert err == "error: manifest has no encoder checkpoint wsgan_encoder_seed2\n"
+    manifest_path.write_text(json.dumps({"format_version": 1, "config_hash": "ab", "version": "0.1.0", "seeds": [2],
+                                         "checkpoints": {"wsgan_encoder_seed2": "ckpt.json"}}))
+    (tmp_path / "ckpt.json").write_text(json.dumps({"format_version": 2}))  # refused before its other keys
+    assert run_cli(*args) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'ckpt.json'}: unsupported format_version 2, expected 3\n"
     assert not (tmp_path / "augmentation").exists()
     with pytest.raises(SystemExit):
         run_cli("no-such-command")
@@ -598,6 +618,7 @@ _JSON_CASES = [
     ("train-config", "unknown", _set("epoch", 1), "unknown key epoch"),
     ("train-config", "dimension", _set("class_count", 3), "unknown key class_count"),
     ("train-config", "mistyped", _set("epochs", 1.5), "epochs must be int"),
+    ("train-config", "constant", _set("lr_d", 4e-4), "unknown key lr_d"),
     ("benchmark-config", "unknown", _set("seed", [7]), "unknown key seed"),
     ("benchmark-config", "mistyped", _set("seeds", 11), "seeds must be tuple"),
     ("benchmark-config", "nested-unknown", _set("training.epoch", 1), "unknown key training.epoch"),
@@ -606,6 +627,7 @@ _JSON_CASES = [
     ("augment-manifest", "unknown", _set("extra", 1), "unknown key extra"),
     ("augment-manifest", "missing", _set("config_hash", _DROP), "missing required key config_hash"),
     ("augment-manifest", "mistyped", _set("seeds", "11"), "seeds must be list"),
+    ("augment-manifest", "unversioned", _set("format_version", _DROP), "unsupported format_version None, expected 1"),
     ("theory-grid", "unknown", _set("m_value", [3]), "unknown key m_value"),
     ("theory-grid", "mistyped", _set("m_values", [3.5]), "m_values[0] must be int"),
 ]
@@ -626,7 +648,7 @@ def valid_json_inputs(tmp_path_factory):
         "lfs-sidecar": json.loads((root / "lfs.json").read_text()),
         "train-config": dataclasses.asdict(TrainingConfig(epochs=1)),
         "benchmark-config": dataclasses.asdict(tiny_config(seeds=(11,))),
-        "augment-manifest": {"config_hash": "ab", "version": "0.1.0", "seeds": [11]},
+        "augment-manifest": {"format_version": 1, "config_hash": "ab", "version": "0.1.0", "seeds": [11]},
         "theory-grid": dataclasses.asdict(grid),
     }
     return root, json.loads(json.dumps(valid))

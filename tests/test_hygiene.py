@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is used in it, every
 name it exports has a user outside the tests, every indented JSON file is
-written by `data.write_json`, and the package runs on numpy alone.
+written by `data.write_json`, no dataclass field is read only by its own
+`__post_init__` check, and the package runs on numpy alone.
 
 `__init__.py` is exempt from both name checks because its imports are the
 package's re-exports.
@@ -168,6 +169,49 @@ def test_every_export_has_a_user():
     targets = [(module, attr) for _name, module, attr, _hook in spans.TARGETS]
     init, readme = (SRC / "__init__.py").read_text(), (ROOT / "README.md").read_text()
     assert unused_exports(modules, init, users, targets, readme) == []
+
+
+def _attribute_reads(node) -> list[str]:
+    return [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+
+
+def post_init_only_fields(modules: dict[str, str]) -> list[str]:
+    """`module.Class.field` for each dataclass field that `modules` (name -> source)
+    read in that class's `__post_init__` and nowhere else.
+
+    A read is an attribute load of the field's name on any object, so a field
+    shares its reads with every attribute of the same name.
+    """
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    reads = [attr for tree in trees.values() for attr in _attribute_reads(tree)]
+    found = []
+    for module, tree in trees.items():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            if not any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+                continue
+            post_init = [n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__post_init__"]
+            checked = [attr for fn in post_init for attr in _attribute_reads(fn)]
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    name = stmt.target.id
+                    if name in checked and reads.count(name) == checked.count(name):
+                        found.append(f"{module}.{cls.name}.{name}")
+    return found
+
+
+def test_post_init_only_field_detector():
+    modules = {
+        "theory": "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\nclass Inputs:\n    used: int = 1\n    dead: int = 2\n    unread: int = 3\n"
+        "    def __post_init__(self):\n        assert self.used > 0 and self.dead > 0\n"
+        "class Plain:\n    alone: int = 2\n    def __post_init__(self):\n        assert self.alone > 0\n",
+        "harness": "def bound(inputs):\n    return inputs.used\n",
+    }
+    assert post_init_only_fields(modules) == ["theory.Inputs.dead"]
+
+
+def test_no_field_is_only_validated():
+    assert post_init_only_fields({p.stem: p.read_text() for p in MODULES}) == []
 
 
 def test_cli_import_leaves_scipy_out():

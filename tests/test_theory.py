@@ -256,8 +256,6 @@ def test_theory_inputs_validation():
     with pytest.raises(TheoryError):
         TheoryInputs(delta=0.0)
     with pytest.raises(TheoryError):
-        TheoryInputs(eps_lambda=0.5)
-    with pytest.raises(TheoryError):
         TheoryInputs(c_g=0.0)
 
 
