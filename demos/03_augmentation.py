@@ -47,11 +47,12 @@ baseline = train_eval_classifier(data.features, pls, test.features, test.labels,
 print(f"\nbaseline classifier (pseudolabeled real data only): test accuracy {baseline:.4f}")
 
 applicator = make_lf_applicator(lf_specs, spec)
+n = 600
 for mode in ("synthetic_pl", "lf_pl"):
     aug = augment_dataset(
-        bundle, data.features, pls, 600, mode,
+        bundle, data.features, pls, n,
         lf_applicator=applicator if mode == "lf_pl" else None, seed=10,
     )
-    print(f"\n{mode}: appended {aug.appended} points; balance {aug.balance.describe()}")
+    print(f"\n{mode}: appended {n} points; balance {aug.balance.describe()}")
     acc = train_eval_classifier(aug.features, aug.labels, test.features, test.labels, cls)
     print(f"  augmented classifier: test accuracy {acc:.4f} (delta {100 * (acc - baseline):+.2f}pp)")

@@ -314,7 +314,6 @@ def backward(loss: Tensor, params) -> list[np.ndarray]:
 class GradCheckReport:
     analytic: np.ndarray
     numeric: np.ndarray
-    rel_errors: np.ndarray
     max_rel_error: float
 
     def ok(self, tol: float = 1e-4) -> bool:
@@ -348,7 +347,7 @@ def check_gradients_params(loss_fn, params, step: float = 1e-5) -> GradCheckRepo
     numeric = np.concatenate(chunks)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     rel = np.abs(analytic - numeric) / denom
-    return GradCheckReport(analytic, numeric, rel, float(rel.max()) if rel.size else 0.0)
+    return GradCheckReport(analytic, numeric, float(rel.max()) if rel.size else 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -112,10 +112,18 @@ def write_csv(path, header: list, rows: list) -> Path:
 
 
 def read_csv(path) -> tuple[list, list]:
+    """Header and rows of a file `write_csv` wrote.  An empty file, or a row
+    whose cell count is not the header's (as a killed run may leave), raises
+    DataError naming the file."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
+        lines = [ln.rstrip("\n").split(",") for ln in fh if ln.strip()]
+    if not lines:
+        raise DataError(f"empty CSV {path}: no header")
+    header, rows = lines[0], lines[1:]
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DataError(f"malformed CSV {path}: row {i} has {len(row)} cells, the header {len(header)}")
+    return header, rows
 
 
 @dataclass(frozen=True)

@@ -531,7 +531,6 @@ def _classifier_unit(config: ExperimentConfig, seed: int, n_synth: int, mode, ch
                 features,
                 labels,
                 n_synth,
-                mode,
                 lf_applicator=make_lf_applicator(specs, config.dataset) if mode == "lf_pl" else None,
                 seed=derive_seed(seed, _STREAM_AUG),
             )

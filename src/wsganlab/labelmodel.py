@@ -260,18 +260,12 @@ def generate_synthetic_lfs(
 class LfStats:
     accuracy: np.ndarray
     coverage: np.ndarray
-    defined: np.ndarray
-    mean_accuracy: float
-    min_accuracy: float
-    max_accuracy: float
-    mean_coverage: float
 
 
 def lf_stats(L, true_labels: np.ndarray) -> LfStats:
     """Realized per-LF accuracy and coverage against the given labels.
 
-    Accuracy is undefined (NaN, defined=False) for an LF with no votes;
-    summary accuracy stats skip undefined entries.
+    Accuracy is undefined (NaN) for an LF with no votes.
     """
     votes, _ = _as_votes(L)
     y = np.asarray(true_labels, dtype=np.int64)
@@ -282,18 +276,7 @@ def lf_stats(L, true_labels: np.ndarray) -> LfStats:
     correct = ((votes == y[:, None]) & voted).sum(axis=0)
     with np.errstate(invalid="ignore"):
         accuracy = np.where(counts > 0, correct / np.maximum(counts, 1), np.nan)
-    coverage = counts / votes.shape[0]
-    defined = counts > 0
-    acc_def = accuracy[defined]
-    return LfStats(
-        accuracy=accuracy,
-        coverage=coverage,
-        defined=defined,
-        mean_accuracy=float(acc_def.mean()) if acc_def.size else float("nan"),
-        min_accuracy=float(acc_def.min()) if acc_def.size else float("nan"),
-        max_accuracy=float(acc_def.max()) if acc_def.size else float("nan"),
-        mean_coverage=float(coverage.mean()) if coverage.size else float("nan"),
-    )
+    return LfStats(accuracy=accuracy, coverage=counts / votes.shape[0])
 
 
 def majority_vote(L, class_count: int | None = None) -> PosteriorTable:

@@ -518,8 +518,6 @@ _BALANCE_TOLERANCE = 5.0  # the largest max/min class-share ratio a balance chec
 @dataclass
 class BalanceReport:
     passed: bool
-    counts: np.ndarray
-    shares: np.ndarray
     ratio: float
     missing: list
 
@@ -539,15 +537,13 @@ def class_balance_check(labels: np.ndarray, class_count: int) -> BalanceReport:
     missing = [c for c in range(1, class_count + 1) if counts[c - 1] == 0]
     ratio = float("inf") if missing else float(shares.max() / shares.min())
     passed = not missing and ratio <= _BALANCE_TOLERANCE
-    return BalanceReport(passed=passed, counts=counts, shares=shares, ratio=ratio, missing=missing)
+    return BalanceReport(passed=passed, ratio=ratio, missing=missing)
 
 
 @dataclass
 class AugmentationResult:
     features: np.ndarray
     labels: np.ndarray
-    appended: int
-    mode: str
     balance: BalanceReport | None
 
 
@@ -556,40 +552,31 @@ def augment_dataset(
     base_features: np.ndarray,
     base_labels: np.ndarray,
     n_synth: int,
-    mode: str,
     lf_applicator=None,
     seed: int = 0,
 ) -> AugmentationResult:
     """Append n_synth generated points with pseudolabels to a training set.
 
-    mode "synthetic_pl": labels are argmax of the code-to-label map on the
-    generated points.  mode "lf_pl": `lf_applicator(features, rng)` produces a
-    vote matrix for the generated points and labels follow the bundle's usual
-    posterior routing (LF route when covered, synthetic route otherwise).
-    The class-balance check runs on the appended labels only; failure rejects
-    the augmentation.
+    With an `lf_applicator`, `lf_applicator(features, rng)` votes on the
+    generated points; without one they have no votes.  The labels follow the
+    bundle's usual posterior routing: the LF route on covered points, the
+    synthetic route (the code-to-label map) on the rest.  The class-balance
+    check runs on the appended labels only; failure rejects the augmentation.
     """
-    if mode not in ("synthetic_pl", "lf_pl"):
-        raise TrainingError(f"unknown augmentation mode {mode!r}")
     base_features = np.asarray(base_features, dtype=np.float64)
     base_labels = np.asarray(base_labels, dtype=np.int64)
     if n_synth < 0:
         raise TrainingError("n_synth must be >= 0")
     if n_synth == 0:
-        return AugmentationResult(base_features.copy(), base_labels.copy(), 0, mode, None)
-    if mode == "lf_pl" and lf_applicator is None:
-        raise TrainingError("lf_pl mode requires an lf_applicator")
+        return AugmentationResult(base_features.copy(), base_labels.copy(), None)
 
     feats, _codes = generate_samples(bundle, n_synth, seed=seed)
-    if mode == "synthetic_pl":
-        table = pseudolabel_table(bundle, feats, None)
-    else:
-        rng = np.random.default_rng((seed, 1))
-        votes = np.asarray(lf_applicator(feats, rng), dtype=np.int64)
+    votes = None
+    if lf_applicator is not None:
+        votes = np.asarray(lf_applicator(feats, np.random.default_rng((seed, 1))), dtype=np.int64)
         if votes.shape != (n_synth, bundle.num_lfs):
             raise TrainingError(f"lf_applicator returned shape {votes.shape}")
-        table = pseudolabel_table(bundle, feats, votes)
-    new_labels = crisp_labels(table)
+    new_labels = crisp_labels(pseudolabel_table(bundle, feats, votes))
 
     balance = class_balance_check(new_labels, bundle.class_count)
     if not balance.passed:
@@ -597,8 +584,6 @@ def augment_dataset(
     return AugmentationResult(
         features=np.concatenate([base_features, feats], axis=0),
         labels=np.concatenate([base_labels, new_labels]),
-        appended=n_synth,
-        mode=mode,
         balance=balance,
     )
 

@@ -386,6 +386,23 @@ def test_run_augmentation_needs_a_checkpoint_per_seed(tmp_path):
     assert not (tmp_path / "aug").exists()
 
 
+def test_run_augmentation_refuses_an_unknown_mode(tmp_path):
+    with pytest.raises(HarnessError, match="^unknown augmentation mode 'nope'$"):
+        run_augmentation(tiny_config(), n_synth=60, modes=("lf_pl", "nope"), out_dir=tmp_path / "aug")
+    assert not (tmp_path / "aug").exists()
+
+
+@pytest.mark.filterwarnings("ignore:classes .* absent:RuntimeWarning")
+def test_run_augmentation_trains_the_encoders_the_benchmark_saved(tiny_run, tmp_path):
+    # without a manifest each seed's encoder is trained afresh, and it is the one run_benchmark saved
+    config, _out, manifest = tiny_run
+    loaded = run_augmentation(config, n_synth=60, out_dir=tmp_path / "loaded", manifest=manifest)
+    trained = run_augmentation(config, n_synth=60, out_dir=tmp_path / "trained")
+    assert repr(trained) == repr(loaded)  # repr, so NaN cells of rejected rows compare equal
+    assert (tmp_path / "trained" / "augmentation.csv").read_bytes() == (
+        tmp_path / "loaded" / "augmentation.csv").read_bytes()
+
+
 def test_lf_applicator_vote_shape_and_range():
     config = tiny_config()
     specs = config.lf_plan.sample(3, np.random.default_rng(derive_seed(0, 1)))
@@ -568,6 +585,24 @@ def test_cli_dataset_errors_return_one(tmp_path, capsys, corrupt):
     assert run_cli("synth-lfs", "--out", out, "--dataset", csv_path, "--num-lfs", "4", "--seed", "4") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(csv_path) in err
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda text: "", lambda text: text[: text.rindex(",")]],
+    ids=["empty", "truncated"],
+)
+def test_cli_report_rejects_a_damaged_summary(tiny_run, tmp_path, capsys, corrupt):
+    # a killed run can leave summary.csv empty or cut inside its last row
+    _config, out, _manifest = tiny_run
+    for name in ("per_seed.csv", "summary.csv"):
+        shutil.copy(out / name, tmp_path / name)
+    summary = tmp_path / "summary.csv"
+    summary.write_text(corrupt(summary.read_text()))
+    capsys.readouterr()
+    assert run_cli("report", "--dir", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(summary) in err and err.count("\n") == 1
 
 
 # Every JSON file the CLI reads, with the command that reads it.  The cases

@@ -1,7 +1,8 @@
 """Source hygiene: every name a package module imports is used in it, every
 name it exports has a user outside the tests, every indented JSON file is
-written by `data.write_json`, no dataclass field is read only by its own
-`__post_init__` check, and the package runs on numpy alone.
+written by `data.write_json`, every dataclass field has a reader and is not
+read only by its own `__post_init__` check, and the package runs on numpy
+alone.
 
 `__init__.py` is exempt from both name checks because its imports are the
 package's re-exports.
@@ -175,6 +176,14 @@ def _attribute_reads(node) -> list[str]:
     return [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
 
 
+def _dataclass_fields(tree):
+    """(class, its field names) for each dataclass defined in `tree`."""
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        if any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+            fields = [s.target for s in cls.body if isinstance(s, ast.AnnAssign)]
+            yield cls, [f.id for f in fields if isinstance(f, ast.Name)]
+
+
 def post_init_only_fields(modules: dict[str, str]) -> list[str]:
     """`module.Class.field` for each dataclass field that `modules` (name -> source)
     read in that class's `__post_init__` and nowhere else.
@@ -186,16 +195,12 @@ def post_init_only_fields(modules: dict[str, str]) -> list[str]:
     reads = [attr for tree in trees.values() for attr in _attribute_reads(tree)]
     found = []
     for module, tree in trees.items():
-        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
-            if not any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
-                continue
+        for cls, fields in _dataclass_fields(tree):
             post_init = [n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__post_init__"]
             checked = [attr for fn in post_init for attr in _attribute_reads(fn)]
-            for stmt in cls.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                    name = stmt.target.id
-                    if name in checked and reads.count(name) == checked.count(name):
-                        found.append(f"{module}.{cls.name}.{name}")
+            for name in fields:
+                if name in checked and reads.count(name) == checked.count(name):
+                    found.append(f"{module}.{cls.name}.{name}")
     return found
 
 
@@ -212,6 +217,42 @@ def test_post_init_only_field_detector():
 
 def test_no_field_is_only_validated():
     assert post_init_only_fields({p.stem: p.read_text() for p in MODULES}) == []
+
+
+def unread_fields(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """`module.Class.field` for each dataclass field of `modules` (name -> source)
+    that no attribute load in `modules` or in the `readers` sources reads.
+
+    A class with a `format_version` field is a file format, which needs every
+    field whether or not one is read, so it is exempt.  As in
+    `post_init_only_fields`, a read of any attribute of the same name counts.
+    """
+    reads = {attr for source in [*modules.values(), *readers] for attr in _attribute_reads(ast.parse(source))}
+    found = []
+    for module, source in modules.items():
+        for cls, fields in _dataclass_fields(ast.parse(source)):
+            if "format_version" not in fields:
+                found += [f"{module}.{cls.name}.{name}" for name in fields if name not in reads]
+    return found
+
+
+def test_unread_field_detector():
+    modules = {
+        "wsgan": "from dataclasses import dataclass\n"
+        "@dataclass\nclass Result:\n    labels: list\n    echo: int\n    shown: int\n"
+        "    def describe(self):\n        return self.shown\n"
+        "@dataclass(frozen=True)\nclass _Checkpoint:\n    format_version: int\n    params: dict\n"
+        "class Plain:\n    alone: int = 2\n",
+        "harness": "def run(result):\n    result.echo = 1\n    return len(result)\n",
+    }
+    users = ["from wsganlab.wsgan import Result\nprint(Result([], 0, 0).labels)\n"]
+    assert unread_fields(modules, users) == ["wsgan.Result.echo"]
+
+
+def test_every_field_has_a_reader():
+    modules = {p.stem: p.read_text() for p in MODULES}
+    readers = [p.read_text() for d in ("bench", "demos", "tests") for p in sorted((ROOT / d).glob("*.py"))]
+    assert unread_fields(modules, readers) == []
 
 
 def test_cli_import_leaves_scipy_out():

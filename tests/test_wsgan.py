@@ -529,8 +529,8 @@ def test_augment_appends_and_reports_balance():
     data, L = small_problem(n=80)
     bundle, _ = train(data, L, small_config(epochs=1))
     base_y = data.labels
-    result = augment_dataset(bundle, data.features, base_y, 0, "synthetic_pl")
-    assert result.appended == 0 and result.balance is None
+    result = augment_dataset(bundle, data.features, base_y, 0)
+    assert result.balance is None
     assert result.features.shape == data.features.shape
 
 
@@ -544,11 +544,12 @@ def test_augment_appends_generated_points_with_their_pseudolabels(mode):
         return np.where(rng.random((features.shape[0], 4)) < 0.3, np.arange(4) % 3 + 1, 0)
 
     n, seed = 60, 1
-    result = augment_dataset(bundle, base_x, base_y, n, mode, lf_applicator=applicator, seed=seed)
+    result = augment_dataset(bundle, base_x, base_y, n, lf_applicator=applicator if mode == "lf_pl" else None,
+                             seed=seed)
     feats, _codes = generate_samples(bundle, n, seed=seed)
     votes = applicator(feats, np.random.default_rng((seed, 1))) if mode == "lf_pl" else None
     labels = crisp_labels(pseudolabel_table(bundle, feats, votes))
-    assert result.balance.passed and result.appended == n
+    assert result.balance.passed
     assert (result.features == np.concatenate([base_x, feats])).all()
     assert (result.labels == np.concatenate([base_y, labels])).all()
 
@@ -559,7 +560,7 @@ def test_augment_rejects_collapsed_labels():
     x = np.zeros((10, 2))
     y = np.array([1, 2, 3] * 3 + [1])
     with pytest.raises(AugmentationRejectedError) as exc:
-        augment_dataset(bundle, x, y, 30, "synthetic_pl", seed=0)
+        augment_dataset(bundle, x, y, 30, seed=0)
     assert exc.value.report.missing  # classes absent entirely
 
 
@@ -574,13 +575,9 @@ def test_augment_lf_pl_uses_applicator():
         votes[:, 0] = rng.integers(1, 4, size=features.shape[0])
         return votes
 
-    result = augment_dataset(bundle, data.features, data.labels, 24, "lf_pl", lf_applicator=applicator, seed=1)
+    result = augment_dataset(bundle, data.features, data.labels, 24, lf_applicator=applicator, seed=1)
     assert calls["n"] == 24
     assert result.features.shape[0] == 80 + 24
-    with pytest.raises(TrainingError):
-        augment_dataset(bundle, data.features, data.labels, 5, "lf_pl")  # applicator missing
-    with pytest.raises(TrainingError):
-        augment_dataset(bundle, data.features, data.labels, 5, "nope")
 
 
 def test_augment_bad_applicator_shape():
@@ -588,7 +585,7 @@ def test_augment_bad_applicator_shape():
     bundle = small_bundle(0)
     with pytest.raises(TrainingError):
         augment_dataset(
-            bundle, data.features, data.labels, 5, "lf_pl", lf_applicator=lambda f, r: np.zeros((3, 2), int)
+            bundle, data.features, data.labels, 5, lf_applicator=lambda f, r: np.zeros((3, 2), int)
         )
 
 
