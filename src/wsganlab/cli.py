@@ -59,13 +59,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"wsganlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    spec = DatasetSpec()
     p = sub.add_parser("synth-data", help="sample a Gaussian-blob dataset and write CSV + sidecar")
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--samples", type=int, default=4000)
-    p.add_argument("--radius", type=float, default=4.0)
-    p.add_argument("--sigma", type=float, default=0.6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--classes", type=int, default=spec.class_count)
+    p.add_argument("--dim", type=int, default=spec.feature_dim)
+    p.add_argument("--samples", type=int, default=spec.num_samples)
+    p.add_argument("--radius", type=float, default=spec.radius)
+    p.add_argument("--sigma", type=float, default=spec.sigma)
+    p.add_argument("--seed", type=int, default=spec.seed)
     p.add_argument("--spec", type=Path, help="JSON file of DatasetSpec fields; overrides the flags")
     p.add_argument("--name", default="dataset")
     p.add_argument("--out", help="output root (default $WSGANLAB_OUT or ./runs)")
@@ -73,9 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth-lfs", help="apply synthetic labeling functions to a dataset")
     p.add_argument("--dataset", type=Path, required=True, help="dataset CSV produced by synth-data")
     p.add_argument("--specs", type=Path, help="JSON list of LF spec objects")
-    p.add_argument("--num-lfs", type=int, default=12)
-    p.add_argument("--accuracy-range", type=float, nargs=2, default=[0.55, 0.9])
-    p.add_argument("--propensity-range", type=float, nargs=2, default=[0.1, 0.3])
+    plan = LfPlan()
+    p.add_argument("--num-lfs", type=int, default=plan.num_lfs)
+    p.add_argument("--accuracy-range", type=float, nargs=2, default=plan.accuracy_range)
+    p.add_argument("--propensity-range", type=float, nargs=2, default=plan.propensity_range)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--name", default="lfs")
     p.add_argument("--out", help="output root")
@@ -103,11 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output root")
     p.add_argument("--dir-name", default="benchmark")
 
-    p = sub.add_parser("augment", help="augmentation study on top of benchmark checkpoints")
-    p.add_argument("--config", type=Path)
+    p = sub.add_parser("augment", help="augmentation study on top of a benchmark run's encoders")
+    p.add_argument("--manifest", type=Path, required=True, help="the benchmark run's manifest.json")
     p.add_argument("--n-synth", type=int, default=1000)
     p.add_argument("--mode", choices=list(AUG_MODES) + ["both"], default="both")
-    p.add_argument("--manifest", type=Path, help="benchmark manifest.json with encoder checkpoints")
     p.add_argument("--out", help="output root")
     p.add_argument("--dir-name", default="augmentation")
 
@@ -217,13 +218,13 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    config = read_json(ExperimentConfig, args.config) if args.config else default_benchmark_config()
+    manifest = read_json(RunManifest, args.manifest, version=1).resolved(args.manifest.parent)
+    if "config" not in manifest.files:
+        raise HarnessError(f"{args.manifest}: manifest lists no config file")
+    config = read_json(ExperimentConfig, manifest.files["config"])  # checked against the run's hash
     modes = list(AUG_MODES) if args.mode == "both" else [args.mode]
-    manifest = None
-    if args.manifest:
-        manifest = read_json(RunManifest, args.manifest, version=1).resolved(args.manifest.parent)
     out_dir = _out_root(args) / args.dir_name
-    rows = run_augmentation(config, n_synth=args.n_synth, modes=modes, out_dir=out_dir, manifest=manifest)
+    rows = run_augmentation(config, manifest, n_synth=args.n_synth, modes=modes, out_dir=out_dir)
     print(f"wrote {out_dir / 'augmentation.csv'}")
     rejected = [r for r in rows if not r[5]]
     for r in rejected:

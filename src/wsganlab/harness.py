@@ -10,7 +10,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 import time
 import warnings
 from dataclasses import dataclass, field, asdict
@@ -276,11 +275,6 @@ def _map_units(fn, jobs: list) -> list:
 _GAN_MODELS = (("infogan", "infogan"), ("wsgan_vector", "vector"), ("wsgan_encoder", "encoder"))
 
 
-def _training_config(config: ExperimentConfig, seed: int, mode: str) -> TrainingConfig:
-    # every mode of a run seed trains from the same seed, for pairing
-    return dataclasses.replace(config.training, mode=mode, seed=derive_seed(seed, _STREAM_TRAIN))
-
-
 def _gan_unit(config: ExperimentConfig, seed: int, model: str, mode: str, out_dir: Path) -> tuple:
     """Train one GAN model on one run seed, write its history and checkpoint
     under `out_dir`, and score it.  Returns (row, wall time, checkpoint path
@@ -289,9 +283,11 @@ def _gan_unit(config: ExperimentConfig, seed: int, model: str, mode: str, out_di
     whatever the exception type.
     """
     data, _specs, L = _seed_inputs(config, seed)
+    # every mode of a run seed trains from the same seed, for pairing
+    training = dataclasses.replace(config.training, mode=mode, seed=derive_seed(seed, _STREAM_TRAIN))
     t0 = time.perf_counter()
     try:
-        bundle, history = train(data, L, _training_config(config, seed, mode))
+        bundle, history = train(data, L, training)
     except Exception as exc:  # keep the sweep alive
         return [seed, model] + [float("nan")] * len(config.metrics), None, None, repr(exc)
     wall = time.perf_counter() - t0
@@ -458,40 +454,29 @@ AUG_MODES = ("synthetic_pl", "lf_pl")
 AUG_HEADER = ["seed", "mode", "baseline_accuracy", "augmented_accuracy", "delta", "balance_passed", "n_synth"]
 
 
-def run_augmentation(
-    config: ExperimentConfig,
-    n_synth: int = 1000,
-    modes=AUG_MODES,
-    out_dir=None,
-    manifest: RunManifest | None = None,
-) -> list:
+def run_augmentation(config: ExperimentConfig, manifest: RunManifest, n_synth: int = 1000, modes=AUG_MODES,
+                     out_dir=None) -> list:
     """Compare an end classifier trained on pseudolabeled real data against
     one trained on the same data plus generated points.
 
-    Encoder checkpoints are loaded from a benchmark manifest when given, which
-    must hold one for every config seed; otherwise they are trained afresh per
-    seed.  Each encoder training and each end classifier is one unit of
-    `_map_units`.  Returns the CSV rows in seed order; a rejected augmentation
-    (balance failure) yields a row with NaN accuracies and balance_passed
-    False.
+    The encoders are the `wsgan_encoder_seed<s>` checkpoints of the benchmark
+    run `manifest`, which `config` must be: its hash must equal the run's.
+    Each end classifier is one unit of `_map_units`.  Returns the CSV rows in
+    seed order; a rejected augmentation (balance failure) yields a row with
+    NaN accuracies and balance_passed False.
     """
     for mode in modes:
         if mode not in AUG_MODES:
             raise HarnessError(f"unknown augmentation mode {mode!r}")
-    if manifest is not None:
-        keys = [f"wsgan_encoder_seed{s}" for s in config.seeds]
-        missing = [k for k in keys if k not in manifest.checkpoints]
-        if missing:
-            raise HarnessError(f"manifest has no encoder checkpoint {', '.join(missing)}")
-    with tempfile.TemporaryDirectory() as tmp:
-        if manifest is not None:
-            checkpoints = [manifest.checkpoints[k] for k in keys]
-        else:  # train each seed's encoder into a checkpoint the classifier units load
-            jobs = [(config, seed, Path(tmp) / f"encoder_seed{seed}.json") for seed in config.seeds]
-            checkpoints = _map_units(_encoder_unit, jobs)
-        jobs = [(config, seed, n_synth, mode, ckpt) for seed, ckpt in zip(config.seeds, checkpoints)
-                for mode in (None, *modes)]
-        accuracies = iter(_map_units(_classifier_unit, jobs))
+    if config_hash(config) != manifest.config_hash:
+        raise HarnessError(f"config hash {config_hash(config)[:12]} differs from the run's {manifest.config_hash[:12]}")
+    keys = [f"wsgan_encoder_seed{s}" for s in config.seeds]
+    missing = [k for k in keys if k not in manifest.checkpoints]
+    if missing:
+        raise HarnessError(f"manifest has no encoder checkpoint {', '.join(missing)}")
+    jobs = [(config, seed, n_synth, mode, manifest.checkpoints[key]) for seed, key in zip(config.seeds, keys)
+            for mode in (None, *modes)]
+    accuracies = iter(_map_units(_classifier_unit, jobs))
     rows = []
     for seed in config.seeds:
         baseline = next(accuracies)
@@ -506,13 +491,6 @@ def run_augmentation(
         out_dir.mkdir(parents=True, exist_ok=True)
         write_csv(out_dir / "augmentation.csv", AUG_HEADER, rows)
     return rows
-
-
-def _encoder_unit(config: ExperimentConfig, seed: int, path: Path) -> str:
-    """Train one run seed's encoder as `run_benchmark` does; save it to `path`."""
-    data, _specs, L = _seed_inputs(config, seed)
-    bundle, _history = train(data, L, _training_config(config, seed, "encoder"))
-    return str(save_bundle(bundle, path))
 
 
 def _classifier_unit(config: ExperimentConfig, seed: int, n_synth: int, mode, checkpoint) -> float | None:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from wsganlab import harness
-from wsganlab.cli import main
+from wsganlab.cli import _COMMANDS, build_parser, main
 from wsganlab.data import DataError, DatasetSpec, from_json, read_csv, read_json, write_csv
 from wsganlab.harness import (
     AUG_HEADER,
@@ -331,14 +331,15 @@ def test_failed_training_is_recorded_and_the_sweep_goes_on(monkeypatch, tmp_path
     _assert_same_outputs(tmp_path / "cpus1", tmp_path / "cpus2")
 
 
-def test_run_augmentation_passes_on_a_worker_training_error(monkeypatch):
-    def train(data, L, config):
+def test_run_augmentation_passes_on_a_worker_training_error(tiny_run, monkeypatch):
+    def train_eval_classifier(*args):
         raise TrainingDivergedError("g_loss", 0, float("inf"))
 
-    monkeypatch.setattr(harness, "train", train)
+    config, _out, manifest = tiny_run
+    monkeypatch.setattr(harness, "train_eval_classifier", train_eval_classifier)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     with pytest.raises(TrainingDivergedError, match=r"^non-finite g_loss at epoch 0: inf$") as info:
-        run_augmentation(tiny_config(), n_synth=60)
+        run_augmentation(config, manifest, n_synth=60)
     assert (info.value.term, info.value.epoch, info.value.value) == ("g_loss", 0, float("inf"))
 
 
@@ -370,37 +371,40 @@ def test_run_augmentation_accepts_a_decisive_code_route(tmp_path):
     bundle = ModelBundle(config.training, 3, 5, 2, np.random.default_rng(0))
     bundle.code_to_label.w.data[:] = 1000 * np.eye(3)
     ckpt = str(save_bundle(bundle, tmp_path / "encoder.json"))
-    manifest = RunManifest(format_version=1, config_hash="ab", version="0.1.0", seeds=list(config.seeds),
-                           checkpoints={f"wsgan_encoder_seed{s}": ckpt for s in config.seeds})
-    rows = run_augmentation(config, n_synth=60, manifest=manifest)
+    manifest = RunManifest(format_version=1, config_hash=config_hash(config), version="0.1.0",
+                           seeds=list(config.seeds), checkpoints={f"wsgan_encoder_seed{s}": ckpt for s in config.seeds})
+    rows = run_augmentation(config, manifest, n_synth=60)
     assert [(r[0], r[1], r[5]) for r in rows] == [(s, m, True) for s in config.seeds for m in harness.AUG_MODES]
     for _seed, _mode, baseline, augmented, delta, _passed, _n in rows:
         assert np.isfinite([baseline, augmented]).all() and delta == augmented - baseline
 
 
 def test_run_augmentation_needs_a_checkpoint_per_seed(tmp_path):
-    manifest = RunManifest(format_version=1, config_hash="ab", version="0.1.0", seeds=[1],
+    config = tiny_config(seeds=(2,))
+    manifest = RunManifest(format_version=1, config_hash=config_hash(config), version="0.1.0", seeds=[1],
                            checkpoints={"wsgan_encoder_seed1": str(tmp_path / "ckpt.json")})
     with pytest.raises(HarnessError, match="^manifest has no encoder checkpoint wsgan_encoder_seed2$"):
-        run_augmentation(tiny_config(seeds=(2,)), n_synth=60, out_dir=tmp_path / "aug", manifest=manifest)
+        run_augmentation(config, manifest, n_synth=60, out_dir=tmp_path / "aug")
     assert not (tmp_path / "aug").exists()
 
 
 def test_run_augmentation_refuses_an_unknown_mode(tmp_path):
+    # checked first: this manifest's hash and missing checkpoints are refused later
+    manifest = RunManifest(format_version=1, config_hash="ab", version="0.1.0", seeds=[11, 12])
     with pytest.raises(HarnessError, match="^unknown augmentation mode 'nope'$"):
-        run_augmentation(tiny_config(), n_synth=60, modes=("lf_pl", "nope"), out_dir=tmp_path / "aug")
+        run_augmentation(tiny_config(), manifest, n_synth=60, modes=("lf_pl", "nope"), out_dir=tmp_path / "aug")
     assert not (tmp_path / "aug").exists()
 
 
-@pytest.mark.filterwarnings("ignore:classes .* absent:RuntimeWarning")
-def test_run_augmentation_trains_the_encoders_the_benchmark_saved(tiny_run, tmp_path):
-    # without a manifest each seed's encoder is trained afresh, and it is the one run_benchmark saved
+def test_run_augmentation_refuses_a_config_that_is_not_the_runs(tiny_run, tmp_path):
     config, _out, manifest = tiny_run
-    loaded = run_augmentation(config, n_synth=60, out_dir=tmp_path / "loaded", manifest=manifest)
-    trained = run_augmentation(config, n_synth=60, out_dir=tmp_path / "trained")
-    assert repr(trained) == repr(loaded)  # repr, so NaN cells of rejected rows compare equal
-    assert (tmp_path / "trained" / "augmentation.csv").read_bytes() == (
-        tmp_path / "loaded" / "augmentation.csv").read_bytes()
+    other = dataclasses.replace(config, dataset=dataclasses.replace(config.dataset, sigma=0.9))
+    message = f"^config hash {config_hash(other)[:12]} differs from the run's {manifest.config_hash[:12]}$"
+    # checked before the checkpoints
+    for run in (manifest, dataclasses.replace(manifest, checkpoints={})):
+        with pytest.raises(HarnessError, match=message):
+            run_augmentation(other, run, n_synth=60, out_dir=tmp_path / "aug")
+    assert not (tmp_path / "aug").exists()
 
 
 def test_lf_applicator_vote_shape_and_range():
@@ -493,8 +497,6 @@ def test_cli_benchmark_report_augment(tmp_path):
         "augment",
         "--out",
         out,
-        "--config",
-        cfg_path,
         "--manifest",
         out / "b0" / "manifest.json",
         "--n-synth",
@@ -517,7 +519,7 @@ def test_cli_augment_reads_a_manifest_from_anywhere(tmp_path, monkeypatch):
     monkeypatch.chdir(work)
     assert run_cli("benchmark", "--out", "runs", "--config", cfg_path, "--dir-name", "b") == 0
     monkeypatch.chdir(elsewhere)
-    args = ("augment", "--out", "aug", "--config", cfg_path, "--n-synth", "40", "--manifest")
+    args = ("augment", "--out", "aug", "--n-synth", "40", "--manifest")
     # seed 11's lf_pl augmentation passes the balance check, so a run that finds its checkpoints exits 0
     assert run_cli(*args, work / "runs" / "b" / "manifest.json") == 0
     moved = shutil.copytree(work / "runs" / "b", tmp_path / "moved")
@@ -525,6 +527,29 @@ def test_cli_augment_reads_a_manifest_from_anywhere(tmp_path, monkeypatch):
     assert run_cli(*args, moved / "manifest.json", "--dir-name", "aug2") == 0
     assert (elsewhere / "aug" / "augmentation" / "augmentation.csv").read_bytes() == (
         elsewhere / "aug" / "aug2" / "augmentation.csv").read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore:classes .* absent:RuntimeWarning")
+def test_cli_augment_takes_its_config_from_the_run(tiny_run, tmp_path):
+    _config, out, _manifest = tiny_run
+    assert run_cli("augment", "--out", tmp_path, "--manifest", out / "manifest.json", "--n-synth", "40") == 0
+    header, rows = read_csv(tmp_path / "augmentation" / "augmentation.csv")
+    assert header == AUG_HEADER
+    assert [(r[0], r[1]) for r in rows] == [(str(s), m) for s in (11, 12) for m in harness.AUG_MODES]
+
+
+def test_cli_augment_refuses_an_edited_run_config(tiny_run, tmp_path, capsys):
+    config, out, manifest = tiny_run
+    run = shutil.copytree(out, tmp_path / "run")
+    edited = json.loads((run / "config.json").read_text())
+    edited["dataset"]["sigma"] = 0.9
+    (run / "config.json").write_text(json.dumps(edited))
+    other = dataclasses.replace(config, dataset=dataclasses.replace(config.dataset, sigma=0.9))
+    capsys.readouterr()
+    assert run_cli("augment", "--out", tmp_path / "aug", "--manifest", run / "manifest.json", "--n-synth", "40") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: config hash {config_hash(other)[:12]} differs from the run's {manifest.config_hash[:12]}\n"
+    assert not (tmp_path / "aug" / "augmentation").exists()
 
 
 def test_cli_theory_exit_codes(tmp_path):
@@ -548,17 +573,18 @@ def test_cli_theory_exit_codes(tmp_path):
 def test_cli_errors_return_one(tmp_path, capsys):
     assert run_cli("fit-labelmodel", "--out", tmp_path, "--lfs", tmp_path / "missing.csv") == 1
     assert run_cli("report", "--dir", tmp_path / "nope") == 1
-    cfg_path, manifest_path = tmp_path / "cfg.json", tmp_path / "manifest.json"
-    cfg_path.write_text(json.dumps(dataclasses.asdict(tiny_config(seeds=(2,)))))
-    manifest_path.write_text(json.dumps({"format_version": 1, "config_hash": "ab", "version": "0.1.0", "seeds": [1],
-                                         "checkpoints": {"wsgan_encoder_seed1": "ckpt.json"}}))
+    config = tiny_config(seeds=(2,))
+    manifest_path = tmp_path / "manifest.json"
+    (tmp_path / "config.json").write_text(json.dumps(dataclasses.asdict(config)))
+    run = {"format_version": 1, "config_hash": config_hash(config), "version": "0.1.0", "seeds": [2],
+           "files": {"config": "config.json"}}
+    manifest_path.write_text(json.dumps({**run, "checkpoints": {"wsgan_encoder_seed1": "ckpt.json"}}))
     capsys.readouterr()
-    args = ("augment", "--out", tmp_path, "--config", cfg_path, "--manifest", manifest_path)
+    args = ("augment", "--out", tmp_path, "--manifest", manifest_path)
     assert run_cli(*args) == 1
     err = capsys.readouterr().err
     assert err == "error: manifest has no encoder checkpoint wsgan_encoder_seed2\n"
-    manifest_path.write_text(json.dumps({"format_version": 1, "config_hash": "ab", "version": "0.1.0", "seeds": [2],
-                                         "checkpoints": {"wsgan_encoder_seed2": "ckpt.json"}}))
+    manifest_path.write_text(json.dumps({**run, "checkpoints": {"wsgan_encoder_seed2": "ckpt.json"}}))
     (tmp_path / "ckpt.json").write_text(json.dumps({"format_version": 2}))  # refused before its other keys
     assert run_cli(*args) == 1
     assert capsys.readouterr().err == f"error: {tmp_path / 'ckpt.json'}: unsupported format_version 2, expected 3\n"
@@ -663,6 +689,7 @@ _JSON_CASES = [
     ("augment-manifest", "missing", _set("config_hash", _DROP), "missing required key config_hash"),
     ("augment-manifest", "mistyped", _set("seeds", "11"), "seeds must be list"),
     ("augment-manifest", "unversioned", _set("format_version", _DROP), "unsupported format_version None, expected 1"),
+    ("augment-manifest", "no-config", _set("files", {}), "manifest lists no config file"),
     ("theory-grid", "unknown", _set("m_value", [3]), "unknown key m_value"),
     ("theory-grid", "mistyped", _set("m_values", [3.5]), "m_values[0] must be int"),
 ]
@@ -718,3 +745,27 @@ def test_readme_config_example_is_the_default(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(example)
     assert read_json(ExperimentConfig, path) == default_benchmark_config()
+
+
+def test_cli_flag_defaults_are_the_dataclass_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["synth-data"])
+    spec = DatasetSpec(class_count=args.classes, feature_dim=args.dim, num_samples=args.samples, radius=args.radius,
+                       sigma=args.sigma, seed=args.seed)
+    assert spec == DatasetSpec()
+    args = parser.parse_args(["synth-lfs", "--dataset", "x"])
+    plan = LfPlan(num_lfs=args.num_lfs, accuracy_range=tuple(args.accuracy_range),
+                  propensity_range=tuple(args.propensity_range))
+    assert plan == LfPlan()
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0].split() for line in block.splitlines() if line.startswith("wsganlab ")]
+    assert {command[1] for command in commands} == set(_COMMANDS)  # an example per subcommand
+    for command in commands:
+        try:
+            build_parser().parse_args(command[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {' '.join(command)}")

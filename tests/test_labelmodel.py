@@ -290,6 +290,38 @@ def test_dawid_skene_uncovered_rows_uniform():
     assert not result.posteriors.covered[1]
 
 
+@pytest.mark.filterwarnings("ignore:Dawid-Skene did not converge")
+@settings(max_examples=60, deadline=None)
+@given(C=st.integers(2, 6), n=st.integers(20, 60), m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_label_models_are_equivariant_under_relabelling(C, n, m, seed):
+    # class k becomes pi[k - 1] + 1 and new LF column j is old column sigma[j]; so each
+    # model's output comes back with its class columns in pi order and its LFs in sigma order
+    rng = np.random.default_rng(seed)
+    y = rng.integers(1, C + 1, size=n)
+    # votes that carry the label: two classes voted alike are an unstable fixed point of EM,
+    # where the permuted sums' rounding grows (to 4e-7 in 30 iterations on a 3-row matrix)
+    wrong = rng.integers(1, C + 1, size=(n, m))
+    votes = np.where(rng.random((n, m)) < 0.4, np.where(rng.random((n, m)) < 0.7, y[:, None], wrong), 0)
+    pi, sigma = rng.permutation(C), rng.permutation(m)
+    relabel = np.concatenate([[0], pi + 1])  # abstain stays 0
+    votes2, y2 = relabel[votes][:, sigma], relabel[y]
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    mv, mv2 = majority_vote(votes, C), majority_vote(votes2, C)
+    close(mv2.probs[:, pi], mv.probs)
+    assert (mv2.covered == mv.covered).all()
+    # tol=0 runs every fit for max_iters, so the two cannot stop at different iterations
+    ds, ds2 = dawid_skene_fit(votes, C, max_iters=30, tol=0.0), dawid_skene_fit(votes2, C, max_iters=30, tol=0.0)
+    close(ds2.posteriors.probs[:, pi], ds.posteriors.probs)
+    close(ds2.accuracies, ds.accuracies[sigma])
+    close(ds2.prior[pi], ds.prior)
+    stats, stats2 = lf_stats(votes, y), lf_stats(votes2, y2)
+    close(stats2.accuracy, stats.accuracy[sigma])  # NaN, for a silent LF, equals NaN
+    close(stats2.coverage, stats.coverage[sigma])
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
