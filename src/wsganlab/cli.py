@@ -48,8 +48,12 @@ __all__ = ["main", "build_parser"]
 
 
 def _out_root(args) -> Path:
-    root = args.out or os.environ.get("WSGANLAB_OUT") or "./runs"
-    path = Path(root)
+    """The output root, not yet created: a command makes it only once its inputs pass their checks."""
+    return Path(args.out or os.environ.get("WSGANLAB_OUT") or "./runs")
+
+
+def _made_root(args) -> Path:
+    path = _out_root(args)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -135,7 +139,7 @@ def _cmd_synth_data(args) -> int:
             seed=args.seed,
         )
     data = synth_dataset(spec)
-    csv_path, json_path = save_dataset(data, _out_root(args) / f"{args.name}.csv")
+    csv_path, json_path = save_dataset(data, _made_root(args) / f"{args.name}.csv")
     print(f"wrote {csv_path} and {json_path}")
     return 0
 
@@ -153,14 +157,13 @@ def _cmd_synth_lfs(args) -> int:
         rng = np.random.default_rng(args.seed)
         specs = plan.sample(data.spec.class_count, rng)
     L = generate_synthetic_lfs(data.labels, specs, data.spec.class_count)
-    csv_path, json_path = save_label_matrix(L, _out_root(args) / f"{args.name}.csv")
+    csv_path, json_path = save_label_matrix(L, _made_root(args) / f"{args.name}.csv")
     print(f"wrote {csv_path} and {json_path}")
     return 0
 
 
 def _cmd_fit_labelmodel(args) -> int:
     L = load_label_matrix(args.lfs)
-    out = _out_root(args)
     if args.model == "mv":
         table = majority_vote(L)
         info = {"model": "majority_vote", "class_count": L.class_count}
@@ -178,6 +181,7 @@ def _cmd_fit_labelmodel(args) -> int:
         }
     header = [f"p_{k}" for k in range(1, table.class_count + 1)] + ["covered"]
     rows = [list(row) + [bool(c)] for row, c in zip(table.probs, table.covered)]
+    out = _made_root(args)
     csv_path = write_csv(out / f"{args.name}_posteriors.csv", header, rows)
     json_path = write_json(out / f"{args.name}.json", info)
     print(f"wrote {csv_path} and {json_path}")
@@ -198,7 +202,7 @@ def _cmd_train(args) -> int:
     if overrides:
         config = dataclasses.replace(config, **overrides)
     bundle, history = train(data, L, config)
-    out = _out_root(args)
+    out = _made_root(args)
     ckpt = save_bundle(bundle, out / f"{args.name}_checkpoint.json")
     hist = history.save_csv(out / f"{args.name}_history.csv")
     print(f"wrote {ckpt} and {hist}")

@@ -218,19 +218,13 @@ def save_dataset(ds: Dataset, csv_path) -> tuple[Path, Path]:
 def load_dataset(csv_path) -> Dataset:
     csv_path = Path(csv_path)
     spec = read_json(_DatasetSidecar, csv_path.with_suffix(".json"), version=1).spec
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
+    header, rows = read_csv(csv_path)
     expected = [f"x{i}" for i in range(spec.feature_dim)] + ["label"]
     if header != expected:
         raise DataError(f"dataset CSV {csv_path}: header {header} does not match sidecar spec (want {expected})")
     if len(rows) != spec.num_samples:
         raise DataError(f"dataset CSV {csv_path}: {len(rows)} rows but sidecar spec says {spec.num_samples}")
     d = spec.feature_dim
-    for i, row in enumerate(rows):
-        if len(row) != d + 1:
-            raise DataError(f"malformed dataset CSV {csv_path}: row {i} has {len(row)} cells, the header {d + 1}")
     try:
         features = np.array([[float(v) for v in row[:d]] for row in rows])
         labels = np.array([int(row[d]) for row in rows], dtype=np.int64)

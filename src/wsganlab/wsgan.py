@@ -1,11 +1,11 @@
 """The weakly supervised GAN: generator, shared trunk with discriminator /
 code / LF-weight heads, the two interface maps between code space and label
-space, and the four-step training loop.
+space, and one training loop over the steps the mode declares.
 
 Modes:
   encoder — per-sample LF weights from the weight head (trained by alignment)
   vector  — one shared weight per LF (sigmoid of a free vector)
-  infogan — alignment inactive (weight 0); only GAN + info steps run
+  infogan — no alignment step; only the GAN and info steps run
 
 Classes are 1..C everywhere; votes use 0 for abstain.
 """
@@ -345,16 +345,20 @@ def _check_finite(value: float, term: str, epoch: int) -> float:
 
 
 def train(dataset, L, config: TrainingConfig) -> tuple[ModelBundle, TrainingHistory]:
-    """Deterministic four-step training loop.
+    """Deterministic training: one loop over the steps the mode declares.
 
-    Per batch: (1) discriminator step on real-vs-generated with label
-    smoothing (targets 0.9 / 0.1) and flipping (each target swapped with
-    probability 0.03); (2) non-saturating generator step; (3) info step
-    tying codes to generated samples; (4) in encoder/vector modes, the
-    alignment step on the covered rows of the batch.  RNG draw order per
-    batch: generator inputs for step 1, two flip masks, generator inputs for
-    step 2, generator inputs for step 3; the alignment step draws nothing, so
-    an encoder run with align_weight=0 reproduces an infogan run bitwise.
+    Per batch: (1) `disc` on real-vs-generated with label smoothing (targets
+    0.9 / 0.1) and flipping (each target swapped with probability 0.03); (2)
+    `gen`, non-saturating; (3) `info`, tying codes to generated samples; (4)
+    in encoder/vector modes, `align` on the batch's covered rows.  A step
+    returns None to skip a batch (no covered row) or the loss its optimizer
+    steps on with {history column: value}; each value is checked finite, and
+    an epoch's column is the mean over the batches that recorded it.
+
+    RNG draw order per batch: generator inputs for step 1, two flip masks,
+    generator inputs for step 2, generator inputs for step 3; the alignment
+    step draws nothing, so an encoder run with align_weight=0 reproduces an
+    infogan run bitwise.
 
     The class count C comes from `dataset.spec`, the LF count from the vote
     columns and the feature dimension from the feature columns.  The hidden
@@ -377,73 +381,64 @@ def train(dataset, L, config: TrainingConfig) -> tuple[ModelBundle, TrainingHist
     bundle = ModelBundle(config, C, votes.shape[1], x.shape[1], rng)
     history = TrainingHistory()
     real_target, fake_target = 0.9, 0.1
-    align_active = config.mode != "infogan"
+
+    # each call looks its loss function up in the module globals, where tracers and spies patch it
+    def disc(idx, draws, epoch):
+        z, codes, flip_real, flip_fake = draws["disc"]
+        with ad.no_grad():
+            fake_x = bundle.generate(z, codes).data
+        d_real = bundle.discriminate(bundle.features(Tensor(x[idx])))
+        d_fake = bundle.discriminate(bundle.features(Tensor(fake_x)))
+        real_t = np.where(flip_real, fake_target, real_target)
+        fake_t = np.where(flip_fake, real_target, fake_target)
+        loss = ad.add(binary_cross_entropy(d_real, real_t), binary_cross_entropy(d_fake, fake_t))
+        return loss, {"d_loss": float(loss.data)}
+
+    def gen(idx, draws, epoch):
+        loss = generator_loss(bundle.discriminate(bundle.features(bundle.generate(*draws["gen"]))))
+        return loss, {"g_loss": float(loss.data)}
+
+    def info(idx, draws, epoch):
+        z, codes = draws["info"]
+        loss = info_loss(one_hot(codes, C), bundle.code_posterior(bundle.features(bundle.generate(z, codes))))
+        return loss, {"info_loss": float(loss.data)}
+
+    def align(idx, draws, epoch):
+        cov = idx[covered_mask[idx]]
+        if not cov.size:
+            return None
+        raw, parts = alignment_loss(bundle, x[cov], votes[cov], epoch)
+        return ad.scale(raw, config.align_weight), {"align_loss": float(raw.data), "penalty": parts["penalty"]}
+
+    steps = [(disc, bundle.opt_disc), (gen, bundle.opt_gen), (info, bundle.opt_info)]
+    if config.mode != "infogan":
+        steps.append((align, bundle.opt_align))
+
+    def inputs(nb):
+        return rng.standard_normal((nb, config.z_dim)), rng.integers(1, C + 1, size=nb)
 
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
-        sums = {"d": 0.0, "g": 0.0, "info": 0.0}
-        batches = 0
-        align_sum = pen_sum = 0.0
-        align_batches = 0
+        sums, counts = dict.fromkeys(HISTORY_COLUMNS[1:6], 0.0), dict.fromkeys(HISTORY_COLUMNS[1:6], 0)
         for lo in range(0, n, B):
             idx = perm[lo : lo + B]
             nb = idx.size
             # fixed draw order (see docstring)
-            z_d = rng.standard_normal((nb, config.z_dim))
-            b_d = rng.integers(1, C + 1, size=nb)
-            flip_real = rng.random(nb) < 0.03
-            flip_fake = rng.random(nb) < 0.03
-            z_g = rng.standard_normal((nb, config.z_dim))
-            b_g = rng.integers(1, C + 1, size=nb)
-            z_i = rng.standard_normal((nb, config.z_dim))
-            b_i = rng.integers(1, C + 1, size=nb)
-
-            # (1) discriminator
-            with ad.no_grad():
-                fake_x = bundle.generate(z_d, b_d).data
-            d_real = bundle.discriminate(bundle.features(Tensor(x[idx])))
-            d_fake = bundle.discriminate(bundle.features(Tensor(fake_x)))
-            real_t = np.where(flip_real, fake_target, real_target)
-            fake_t = np.where(flip_fake, real_target, fake_target)
-            loss_d = ad.add(binary_cross_entropy(d_real, real_t), binary_cross_entropy(d_fake, fake_t))
-            sums["d"] += _check_finite(float(loss_d.data), "d_loss", epoch)
-            bundle.opt_disc.step(loss_d)
-
-            # (2) generator
-            d_fake2 = bundle.discriminate(bundle.features(bundle.generate(z_g, b_g)))
-            loss_g = generator_loss(d_fake2)
-            sums["g"] += _check_finite(float(loss_g.data), "g_loss", epoch)
-            bundle.opt_gen.step(loss_g)
-
-            # (3) info
-            code_probs = bundle.code_posterior(bundle.features(bundle.generate(z_i, b_i)))
-            raw_info = info_loss(one_hot(b_i, C), code_probs)
-            sums["info"] += _check_finite(float(raw_info.data), "info_loss", epoch)
-            bundle.opt_info.step(raw_info)
-
-            # (4) alignment on the covered rows of this batch
-            if align_active:
-                cov = idx[covered_mask[idx]]
-                if cov.size:
-                    raw_align, parts = alignment_loss(bundle, x[cov], votes[cov], epoch)
-                    _check_finite(float(raw_align.data), "align_loss", epoch)
-                    align_sum += float(raw_align.data)
-                    pen_sum += parts["penalty"]
-                    align_batches += 1
-                    bundle.opt_align.step(ad.scale(raw_align, config.align_weight))
-            batches += 1
+            draws = {"disc": (*inputs(nb), rng.random(nb) < 0.03, rng.random(nb) < 0.03),
+                     "gen": inputs(nb), "info": inputs(nb)}
+            for step, opt in steps:
+                out = step(idx, draws, epoch)
+                if out is None:
+                    continue
+                loss, record = out
+                for column, value in record.items():
+                    sums[column] += _check_finite(value, column, epoch)
+                    counts[column] += 1
+                opt.step(loss)
 
         ari, pl_acc = _epoch_metrics(bundle, x, votes, covered_mask, hidden_labels)
-        history.add(
-            epoch=epoch,
-            d_loss=sums["d"] / batches,
-            g_loss=sums["g"] / batches,
-            info_loss=sums["info"] / batches,
-            align_loss=align_sum / align_batches if align_batches else 0.0,
-            penalty=pen_sum / align_batches if align_batches else 0.0,
-            ari=ari,
-            pl_accuracy=pl_acc,
-        )
+        means = {c: sums[c] / counts[c] if counts[c] else 0.0 for c in sums}
+        history.add(epoch=epoch, **means, ari=ari, pl_accuracy=pl_acc)
     return bundle, history
 
 

@@ -593,6 +593,18 @@ def test_cli_errors_return_one(tmp_path, capsys):
         run_cli("no-such-command")
 
 
+def test_cli_refused_augment_leaves_no_out_dir(tmp_path, capsys):
+    config = tiny_config(seeds=(2,))
+    (tmp_path / "config.json").write_text(json.dumps(dataclasses.asdict(config)))
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps({"format_version": 1, "config_hash": config_hash(config), "version": "0.1.0",
+                                         "seeds": [2], "files": {"config": "config.json"}}))
+    capsys.readouterr()
+    assert run_cli("augment", "--out", tmp_path / "new", "--manifest", manifest_path) == 1
+    assert capsys.readouterr().err == "error: manifest has no encoder checkpoint wsgan_encoder_seed2\n"
+    assert not (tmp_path / "new").exists()
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [

@@ -459,6 +459,34 @@ def test_diverged_error_names_term_and_epoch():
     assert "d_loss" in str(err) and "4" in str(err)
 
 
+@pytest.mark.parametrize("loss_name, term", [("binary_cross_entropy", "d_loss"), ("generator_loss", "g_loss"),
+                                             ("info_loss", "info_loss"), ("alignment_loss", "align_loss")])
+def test_train_raises_on_a_non_finite_step_loss(monkeypatch, loss_name, term):
+    # each step's loss turns NaN once epoch 0's history metrics have run
+    data, L = small_problem()
+    real_loss, real_metrics = getattr(wsgan, loss_name), wsgan._epoch_metrics
+    epochs_done = []
+
+    def counting_metrics(*args):
+        epochs_done.append(True)
+        return real_metrics(*args)
+
+    def poisoned(*args):
+        out = real_loss(*args)
+        if not epochs_done:
+            return out
+        if isinstance(out, tuple):  # alignment_loss returns (loss, parts)
+            return ad.scale(out[0], np.nan), out[1]
+        return ad.scale(out, np.nan)
+
+    monkeypatch.setattr(wsgan, "_epoch_metrics", counting_metrics)
+    monkeypatch.setattr(wsgan, loss_name, poisoned)
+    with pytest.raises(TrainingDivergedError) as info:
+        train(data, L, small_config(mode="encoder", epochs=3))
+    assert (info.value.term, info.value.epoch) == (term, 1)
+    assert np.isnan(info.value.value)
+
+
 # ---------------------------------------------------------------------------
 # prediction and generation
 
@@ -493,6 +521,26 @@ def test_pseudolabel_table_partitions_by_coverage():
     i = int(np.flatnonzero(covered)[3])
     single = pseudolabel_table(bundle, data.features[i : i + 1], L.votes[i : i + 1])
     assert np.allclose(table.probs[i], single.probs[0], atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["encoder", "vector"])
+def test_pseudolabel_table_is_equivariant_under_lf_permutation(mode):
+    # permuting the vote columns, and the weight head's outputs or the weight
+    # vector alike, leaves every posterior where it was
+    data, L = small_problem()
+    bundle, _ = train(data, L, small_config(mode=mode))
+    want = pseudolabel_table(bundle, data.features, L.votes).probs
+    head, vector = bundle.weight_head, bundle.weight_vector
+    w, b, v = head.w.data, head.b.data, vector.data
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        sigma = rng.permutation(L.votes.shape[1])
+        head.w.data, head.b.data, vector.data = w[:, sigma], b[sigma], v[sigma]
+        got = pseudolabel_table(bundle, data.features, L.votes[:, sigma]).probs
+        assert np.abs(got - want).max() <= 1e-12
+    head.w.data, head.b.data, vector.data = w, b, v
+    moved = pseudolabel_table(bundle, data.features, L.votes[:, sigma]).probs
+    assert np.abs(moved - want).max() > 1e-6  # the votes alone, permuted, do move the posteriors
 
 
 def test_generate_samples_deterministic_and_fixed_class():
