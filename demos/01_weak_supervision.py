@@ -6,18 +6,17 @@ vote, a uniform-weight softmax label model, and one-coin Dawid-Skene EM.
 """
 import numpy as np
 
-from wsganlab import (
-    DatasetSpec,
-    LfPlan,
+from wsganlab.data import DatasetSpec, synth_dataset
+from wsganlab.harness import LfPlan
+from wsganlab.labelmodel import (
+    PosteriorTable,
     dawid_skene_fit,
     generate_synthetic_lfs,
     lf_stats,
     majority_vote,
-    pseudolabel_accuracy,
-    synth_dataset,
     weighted_softmax_posterior,
 )
-from wsganlab.labelmodel import PosteriorTable
+from wsganlab.metrics import pseudolabel_accuracy
 
 rng = np.random.default_rng(0)
 

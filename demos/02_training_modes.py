@@ -9,18 +9,11 @@ import dataclasses
 
 import numpy as np
 
-from wsganlab import (
-    DatasetSpec,
-    LfPlan,
-    TrainingConfig,
-    adjusted_rand_index,
-    generate_synthetic_lfs,
-    majority_vote,
-    pseudolabel_accuracy,
-    pseudolabel_table,
-    synth_dataset,
-    train,
-)
+from wsganlab.data import DatasetSpec, synth_dataset
+from wsganlab.harness import LfPlan
+from wsganlab.labelmodel import generate_synthetic_lfs, majority_vote
+from wsganlab.metrics import adjusted_rand_index, pseudolabel_accuracy
+from wsganlab.wsgan import TrainingConfig, pseudolabel_table, train
 
 data = synth_dataset(DatasetSpec(class_count=4, feature_dim=2, num_samples=2500, seed=2))
 specs = LfPlan(num_lfs=12).sample(4, np.random.default_rng(3))

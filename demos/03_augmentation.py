@@ -8,21 +8,17 @@ points do to a small end classifier under both labeling routes:
 """
 import numpy as np
 
-from wsganlab import (
-    ClassifierConfig,
-    DatasetSpec,
-    LfPlan,
+from wsganlab.data import DatasetSpec, synth_dataset
+from wsganlab.harness import LfPlan, make_lf_applicator
+from wsganlab.labelmodel import crisp_labels, generate_synthetic_lfs
+from wsganlab.metrics import ClassifierConfig, train_eval_classifier
+from wsganlab.wsgan import (
     TrainingConfig,
     augment_dataset,
     class_balance_check,
-    crisp_labels,
     generate_samples,
-    generate_synthetic_lfs,
-    make_lf_applicator,
     pseudolabel_table,
-    synth_dataset,
     train,
-    train_eval_classifier,
 )
 
 spec = DatasetSpec(class_count=4, feature_dim=2, num_samples=1500, seed=4)

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .autodiff import AutodiffError
 from .data import (DataError, DatasetSpec, load_dataset, read_csv, read_json, save_dataset, synth_dataset,
                    write_csv, write_json)
 from .harness import (
@@ -275,7 +276,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (DataError, WeakSupError, TrainingError, TheoryError, HarnessError, FileNotFoundError, ValueError) as exc:
+    except (AutodiffError, DataError, WeakSupError, TrainingError, TheoryError, HarnessError, FileNotFoundError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -80,6 +80,7 @@ __all__ = [
     "summarize_rows",
     "run_theory_suite",
     "run_augmentation",
+    "make_lf_applicator",
     "verify_benchmark_dir",
     "BENCHMARK_MODELS",
     "METRIC_NAMES",
@@ -220,12 +221,12 @@ def _metric_row(seed, model, table, ari_value, data: Dataset, gen_feats, config)
 
 
 def _seed_inputs(config: ExperimentConfig, seed: int) -> tuple:
-    """One run seed's dataset, LF specs and label matrix, each from its own stream."""
+    """One run seed's dataset and label matrix (its `lf_specs` set), each from its own stream."""
     data = synth_dataset(dataclasses.replace(config.dataset, seed=derive_seed(seed, _STREAM_DATA)))
     lf_rng = np.random.default_rng(derive_seed(seed, _STREAM_LF))
     specs = config.lf_plan.sample(config.dataset.class_count, lf_rng)
     L = generate_synthetic_lfs(data.labels, specs, config.dataset.class_count)
-    return data, specs, L
+    return data, L
 
 
 def _usable_cpus() -> int:
@@ -282,7 +283,7 @@ def _gan_unit(config: ExperimentConfig, seed: int, model: str, mode: str, out_di
     or path, and the error's repr: data, so it crosses a process boundary
     whatever the exception type.
     """
-    data, _specs, L = _seed_inputs(config, seed)
+    data, L = _seed_inputs(config, seed)
     # every mode of a run seed trains from the same seed, for pairing
     training = dataclasses.replace(config.training, mode=mode, seed=derive_seed(seed, _STREAM_TRAIN))
     t0 = time.perf_counter()
@@ -318,7 +319,7 @@ def run_benchmark(config: ExperimentConfig, out_dir) -> RunManifest:
     for seed in config.seeds:
         seed_dir = out_dir / f"seed_{seed}"
         seed_dir.mkdir(exist_ok=True)
-        data, _specs, L = _seed_inputs(config, seed)
+        data, L = _seed_inputs(config, seed)
         save_dataset(data, seed_dir / "dataset.csv")
         save_label_matrix(L, seed_dir / "lfs.csv")
         mv_row = _metric_row(seed, "majority_vote", majority_vote(L, C), None, data, None, config)
@@ -498,7 +499,7 @@ def _classifier_unit(config: ExperimentConfig, seed: int, n_synth: int, mode, ch
     data pseudolabeled by the encoder at `checkpoint` (mode None) or on those
     data plus `n_synth` points generated in `mode`.  None when the balance
     check rejects the augmentation."""
-    data, specs, L = _seed_inputs(config, seed)
+    data, L = _seed_inputs(config, seed)
     test = synth_dataset(dataclasses.replace(config.dataset, seed=derive_seed(seed, _STREAM_TEST)))
     bundle = load_bundle(checkpoint)
     features, labels = data.features, crisp_labels(pseudolabel_table(bundle, data.features, L))
@@ -509,7 +510,7 @@ def _classifier_unit(config: ExperimentConfig, seed: int, n_synth: int, mode, ch
                 features,
                 labels,
                 n_synth,
-                lf_applicator=make_lf_applicator(specs, config.dataset) if mode == "lf_pl" else None,
+                lf_applicator=make_lf_applicator(L.lf_specs, config.dataset) if mode == "lf_pl" else None,
                 seed=derive_seed(seed, _STREAM_AUG),
             )
         except AugmentationRejectedError:

@@ -487,6 +487,20 @@ def test_cli_train(tmp_path):
     assert len(history) == 3  # header + 2 epochs
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cli_train_on_a_non_finite_graph_returns_one(tmp_path, capsys):
+    # the raw alignment loss is finite; the loss it steps on, scaled by 1e308, is not
+    out = tmp_path / "runs"
+    run_cli("synth-data", "--out", out, "--samples", "200")
+    run_cli("synth-lfs", "--out", out, "--dataset", out / "dataset.csv", "--num-lfs", "4")
+    config = {"mode": "encoder", "epochs": 1, "align_weight": 1e308, "hidden_dim": 8, "z_dim": 4}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    args = ("train", "--out", out, "--dataset", out / "dataset.csv", "--lfs", out / "lfs.csv")
+    assert run_cli(*args, "--config", tmp_path / "c.json") == 1
+    assert capsys.readouterr().err == "error: non-finite values in node op='scale'\n"
+
+
 def test_cli_benchmark_report_augment(tmp_path):
     out = tmp_path / "runs"
     cfg_path = tmp_path / "cfg.json"

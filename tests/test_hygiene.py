@@ -1,13 +1,15 @@
 """Source hygiene: every name a package module imports is used in it, every
 name it exports has a user outside the tests, every indented JSON file is
 written by `data.write_json`, every dataclass field has a reader and is not
-read only by its own `__post_init__` check, and the package runs on numpy
-alone.
+read only by its own `__post_init__` check, the package runs on numpy alone,
+the package root binds only `__version__` and the modules, and every name a
+demo imports from the package exists.
 
-`__init__.py` is exempt from both name checks because its imports are the
-package's re-exports.
+`__init__.py` is exempt from both name checks because its submodule imports
+bind names that it never loads.
 """
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -170,6 +172,26 @@ def test_every_export_has_a_user():
     targets = [(module, attr) for _name, module, attr, _hook in spans.TARGETS]
     init, readme = (SRC / "__init__.py").read_text(), (ROOT / "README.md").read_text()
     assert unused_exports(modules, init, users, targets, readme) == []
+
+
+def test_init_binds_only_version_and_modules():
+    _docstring, version, *imports = ast.parse((SRC / "__init__.py").read_text()).body
+    assert ast.unparse(version).startswith("__version__ = ")
+    assert all(isinstance(s, ast.ImportFrom) and s.level == 1 and s.module is None for s in imports)
+    submodules = {alias.asname or alias.name for s in imports for alias in s.names}
+    assert submodules <= {p.stem for p in MODULES}
+    # `import wsganlab` loads every module the benchmark tracer patches
+    assert {module for _name, module, _attr, _hook in spans.TARGETS} <= submodules
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_imports_resolve(path):
+    missing = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "wsganlab":
+            module = importlib.import_module(node.module)
+            missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
+    assert missing == []
 
 
 def _attribute_reads(node) -> list[str]:
