@@ -25,12 +25,12 @@ from .harness import (
     LfPlan,
     config_hash,
     default_benchmark_config,
+    open_run,
     run_augmentation,
     run_benchmark,
     run_theory_suite,
     verify_benchmark_dir,
     ExperimentConfig,
-    RunManifest,
     TheoryGridConfig,
 )
 from .labelmodel import (
@@ -223,10 +223,7 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    manifest = read_json(RunManifest, args.manifest, version=1).resolved(args.manifest.parent)
-    if "config" not in manifest.files:
-        raise HarnessError(f"{args.manifest}: manifest lists no config file")
-    config = read_json(ExperimentConfig, manifest.files["config"])  # checked against the run's hash
+    config, manifest = open_run(args.manifest)  # run_augmentation checks the config against the run's hash
     modes = list(AUG_MODES) if args.mode == "both" else [args.mode]
     out_dir = _out_root(args) / args.dir_name
     rows = run_augmentation(config, manifest, n_synth=args.n_synth, modes=modes, out_dir=out_dir)
@@ -276,7 +273,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (AutodiffError, DataError, WeakSupError, TrainingError, TheoryError, HarnessError, FileNotFoundError,
+    except (AutodiffError, DataError, WeakSupError, TrainingError, TheoryError, HarnessError, OSError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

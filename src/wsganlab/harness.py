@@ -23,6 +23,7 @@ from .data import (
     DatasetSpec,
     nearest_prototype_labels,
     read_csv,
+    read_json,
     save_dataset,
     synth_dataset,
     write_csv,
@@ -76,6 +77,7 @@ __all__ = [
     "config_hash",
     "derive_seed",
     "RunManifest",
+    "open_run",
     "run_benchmark",
     "summarize_rows",
     "run_theory_suite",
@@ -183,7 +185,8 @@ def config_hash(config) -> str:
 @dataclass
 class RunManifest:
     """A benchmark run's record.  In `manifest.json` the `files` and
-    `checkpoints` paths are relative to the manifest's own directory."""
+    `checkpoints` paths are relative to the manifest's own directory;
+    `open_run` joins them onto it."""
 
     format_version: int
     config_hash: str
@@ -193,11 +196,6 @@ class RunManifest:
     checkpoints: dict[str, str] = field(default_factory=dict)
     wall_times: dict[str, float] = field(default_factory=dict)
     failures: list[dict] = field(default_factory=list)
-
-    def resolved(self, base) -> RunManifest:
-        """This manifest with its file and checkpoint paths joined onto the directory `base`."""
-        return dataclasses.replace(self, files={k: str(Path(base, v)) for k, v in self.files.items()},
-                                   checkpoints={k: str(Path(base, v)) for k, v in self.checkpoints.items()})
 
 
 _N_GEN = 1000  # sample count for the generated-vs-real Gaussian distance
@@ -307,8 +305,8 @@ def run_benchmark(config: ExperimentConfig, out_dir) -> RunManifest:
 
     The label models run here; each (seed, GAN model) training is one unit of
     `_map_units`.  A failed model run is recorded in manifest.failures and
-    leaves NaN rows; remaining runs continue.  The returned manifest's paths
-    are joined onto `out_dir`; `manifest.json` stores them relative to it.
+    leaves NaN rows; remaining runs continue.  Returns the manifest as
+    `open_run` reads it back, its paths joined onto `out_dir`.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -349,7 +347,7 @@ def run_benchmark(config: ExperimentConfig, out_dir) -> RunManifest:
     write_json(out_dir / "config.json", config, sort_keys=True)
     manifest.files = {"per_seed": "per_seed.csv", "summary": "summary.csv", "config": "config.json"}
     write_json(out_dir / "manifest.json", manifest, sort_keys=True)
-    return manifest.resolved(out_dir)
+    return open_run(out_dir / "manifest.json")[1]
 
 
 def summarize_rows(rows: list, metrics) -> list:
@@ -365,26 +363,30 @@ def summarize_rows(rows: list, metrics) -> list:
     return out
 
 
+def open_run(manifest_path) -> tuple[ExperimentConfig, RunManifest]:
+    """The config and manifest of the benchmark run whose `manifest.json` is at
+    `manifest_path`, the manifest's paths joined onto its directory.  The
+    config is checked against the run's hash where it is used (`run_augmentation`)."""
+    manifest = read_json(RunManifest, manifest_path, version=1)
+    base = Path(manifest_path).parent
+    manifest.files = {k: str(base / v) for k, v in manifest.files.items()}
+    manifest.checkpoints = {k: str(base / v) for k, v in manifest.checkpoints.items()}
+    if "config" not in manifest.files:
+        raise HarnessError(f"{manifest_path}: manifest lists no config file")
+    return read_json(ExperimentConfig, manifest.files["config"]), manifest
+
+
 def verify_benchmark_dir(out_dir) -> list:
-    """Recompute summary.csv from per_seed.csv; return list of mismatches."""
+    """Recompute summary.csv from per_seed.csv; return list of mismatches.  Cells
+    are compared as the text `write_csv` writes: repr(), which reads back exactly."""
     out_dir = Path(out_dir)
     header, raw_rows = read_csv(out_dir / "per_seed.csv")
-    metrics = header[2:]
     rows = [[int(r[0]), r[1]] + [float(v) for v in r[2:]] for r in raw_rows]
-    expected = summarize_rows(rows, metrics)
+    expected = [[model, metric, repr(mean), repr(std)] for model, metric, mean, std in summarize_rows(rows, header[2:])]
     _, raw_summary = read_csv(out_dir / "summary.csv")
-    mismatches = []
     if len(raw_summary) != len(expected):
         return [f"summary has {len(raw_summary)} rows, recompute gives {len(expected)}"]
-    for got, want in zip(raw_summary, expected):
-        got_vals = [got[0], got[1], float(got[2]), float(got[3])]
-        want_vals = [want[0], want[1], float(want[2]), float(want[3])]
-        same = got_vals[:2] == want_vals[:2] and all(
-            (np.isnan(g) and np.isnan(w)) or g == w for g, w in zip(got_vals[2:], want_vals[2:])
-        )
-        if not same:
-            mismatches.append(f"row {got} != recomputed {want}")
-    return mismatches
+    return [f"row {got} != recomputed {want}" for got, want in zip(raw_summary, expected) if got != want]
 
 
 # ---------------------------------------------------------------------------

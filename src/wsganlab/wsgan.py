@@ -338,12 +338,6 @@ class TrainingHistory:
         return write_csv(path, HISTORY_COLUMNS, self.records)
 
 
-def _check_finite(value: float, term: str, epoch: int) -> float:
-    if not math.isfinite(value):
-        raise TrainingDivergedError(term, epoch, value)
-    return value
-
-
 def train(dataset, L, config: TrainingConfig) -> tuple[ModelBundle, TrainingHistory]:
     """Deterministic training: one loop over the steps the mode declares.
 
@@ -352,8 +346,9 @@ def train(dataset, L, config: TrainingConfig) -> tuple[ModelBundle, TrainingHist
     `gen`, non-saturating; (3) `info`, tying codes to generated samples; (4)
     in encoder/vector modes, `align` on the batch's covered rows.  A step
     returns None to skip a batch (no covered row) or the loss its optimizer
-    steps on with {history column: value}; each value is checked finite, and
-    an epoch's column is the mean over the batches that recorded it.
+    steps on with {history column: value}.  That loss is checked finite (a
+    failure names the step's first column), and an epoch's column is the mean
+    over the batches that recorded it.
 
     RNG draw order per batch: generator inputs for step 1, two flip masks,
     generator inputs for step 2, generator inputs for step 3; the alignment
@@ -431,8 +426,10 @@ def train(dataset, L, config: TrainingConfig) -> tuple[ModelBundle, TrainingHist
                 if out is None:
                     continue
                 loss, record = out
+                if not math.isfinite(float(loss.data)):
+                    raise TrainingDivergedError(next(iter(record)), epoch, float(loss.data))
                 for column, value in record.items():
-                    sums[column] += _check_finite(value, column, epoch)
+                    sums[column] += value
                     counts[column] += 1
                 opt.step(loss)
 

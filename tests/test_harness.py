@@ -26,6 +26,7 @@ from wsganlab.harness import (
     default_benchmark_config,
     derive_seed,
     make_lf_applicator,
+    open_run,
     run_augmentation,
     run_benchmark,
     run_theory_suite,
@@ -215,13 +216,13 @@ def test_benchmark_manifest_roundtrip(tiny_run):
         for model in ("infogan", "wsgan_vector", "wsgan_encoder") for seed in (11, 12)
     }
     assert all(t >= 0 for t in loaded.wall_times.values())
-    assert loaded.resolved(out) == manifest  # the returned manifest joins them onto the run directory
+    assert open_run(out / "manifest.json")[1] == manifest  # the returned manifest joins them onto the run directory
     assert all(Path(p).is_file() for p in [*manifest.files.values(), *manifest.checkpoints.values()])
 
 
 def test_benchmark_checkpoints_hold_their_models_mode(tiny_run):
     _, out, _ = tiny_run
-    manifest = read_json(RunManifest, out / "manifest.json").resolved(out)
+    manifest = open_run(out / "manifest.json")[1]
     modes = {"infogan": "infogan", "wsgan_vector": "vector", "wsgan_encoder": "encoder"}
     assert len(manifest.checkpoints) == len(modes) * 2
     for key, path in manifest.checkpoints.items():
@@ -238,6 +239,9 @@ def test_benchmark_verify_clean_then_detects_tamper(tiny_run):
     try:
         summary.write_text(original.replace(first_mean, repr(float(first_mean) + 0.25), 1))
         assert verify_benchmark_dir(out) != []
+        # the same value in other text: summary.csv must be exactly what write_csv wrote
+        summary.write_text(original.replace(first_mean, f"{float(first_mean):.17e}", 1))
+        assert len(verify_benchmark_dir(out)) == 1
     finally:
         summary.write_text(original)
     assert verify_benchmark_dir(out) == []
@@ -498,7 +502,7 @@ def test_cli_train_on_a_non_finite_graph_returns_one(tmp_path, capsys):
     capsys.readouterr()
     args = ("train", "--out", out, "--dataset", out / "dataset.csv", "--lfs", out / "lfs.csv")
     assert run_cli(*args, "--config", tmp_path / "c.json") == 1
-    assert capsys.readouterr().err == "error: non-finite values in node op='scale'\n"
+    assert capsys.readouterr().err == "error: non-finite align_loss at epoch 0: inf\n"
 
 
 def test_cli_benchmark_report_augment(tmp_path):
@@ -603,6 +607,12 @@ def test_cli_errors_return_one(tmp_path, capsys):
     assert run_cli(*args) == 1
     assert capsys.readouterr().err == f"error: {tmp_path / 'ckpt.json'}: unsupported format_version 2, expected 3\n"
     assert not (tmp_path / "augmentation").exists()
+    # a directory given for a file, and a file for a directory
+    capsys.readouterr()
+    assert run_cli("augment", "--out", tmp_path, "--manifest", tmp_path) == 1
+    assert run_cli("report", "--dir", manifest_path) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
     with pytest.raises(SystemExit):
         run_cli("no-such-command")
 

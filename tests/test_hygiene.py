@@ -2,8 +2,8 @@
 name it exports has a user outside the tests, every indented JSON file is
 written by `data.write_json`, every dataclass field has a reader and is not
 read only by its own `__post_init__` check, the package runs on numpy alone,
-the package root binds only `__version__` and the modules, and every name a
-demo imports from the package exists.
+the package root binds only `__version__` and the modules, every name a
+demo imports from the package exists, and only `harness` names the run manifest.
 
 `__init__.py` is exempt from both name checks because its submodule imports
 bind names that it never loads.
@@ -182,6 +182,12 @@ def test_init_binds_only_version_and_modules():
     assert submodules <= {p.stem for p in MODULES}
     # `import wsganlab` loads every module the benchmark tracer patches
     assert {module for _name, module, _attr, _hook in spans.TARGETS} <= submodules
+
+
+def test_only_harness_names_the_run_manifest():
+    # a benchmark run is read through `harness.open_run`, so no other module knows the manifest's format
+    naming = [p.name for p in sorted(SRC.glob("*.py")) if re.search(r"\bRunManifest\b", p.read_text())]
+    assert naming == ["harness.py"]
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)

@@ -459,11 +459,18 @@ def test_diverged_error_names_term_and_epoch():
     assert "d_loss" in str(err) and "4" in str(err)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("loss_name, term", [("binary_cross_entropy", "d_loss"), ("generator_loss", "g_loss"),
-                                             ("info_loss", "info_loss"), ("alignment_loss", "align_loss")])
+                                             ("info_loss", "info_loss"), ("alignment_loss", "align_loss"),
+                                             pytest.param(None, "align_loss", id="align_weight-1e308")])
 def test_train_raises_on_a_non_finite_step_loss(monkeypatch, loss_name, term):
     # each step's loss turns NaN once epoch 0's history metrics have run
     data, L = small_problem()
+    if loss_name is None:  # the raw alignment loss is finite; the loss the step steps on, scaled by 1e308, is not
+        with pytest.raises(TrainingDivergedError) as info:
+            train(data, L, small_config(mode="encoder", align_weight=1e308))
+        assert (info.value.term, info.value.epoch, info.value.value) == (term, 0, np.inf)
+        return
     real_loss, real_metrics = getattr(wsgan, loss_name), wsgan._epoch_metrics
     epochs_done = []
 
