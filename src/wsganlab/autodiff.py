@@ -17,36 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "backward",
-    "no_grad",
-    "detach",
-    "add",
-    "sub",
-    "mul",
-    "scale",
-    "matmul",
-    "affine",
-    "relu",
-    "sigmoid",
-    "tanh",
-    "exp",
-    "log",
-    "clip",
-    "softmax",
-    "log_softmax",
-    "mean",
-    "total",
-    "concat",
-    "linear_map",
-    "AutodiffError",
-    "NonFiniteGraphError",
-    "GradCheckReport",
-    "check_gradients_params",
-    "Adam",
-]
-
 
 class AutodiffError(Exception):
     """Base class for engine errors."""

@@ -45,8 +45,6 @@ from .labelmodel import (
 from .wsgan import TrainingConfig, TrainingError, save_bundle, train
 from .theory import TheoryError
 
-__all__ = ["main", "build_parser"]
-
 
 def _out_root(args) -> Path:
     """The output root, not yet created: a command makes it only once its inputs pass their checks."""

@@ -11,22 +11,6 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = [
-    "DataError",
-    "from_json",
-    "read_json",
-    "write_json",
-    "write_csv",
-    "read_csv",
-    "DatasetSpec",
-    "Dataset",
-    "synth_dataset",
-    "class_prototypes",
-    "nearest_prototype_labels",
-    "save_dataset",
-    "load_dataset",
-]
-
 
 class DataError(Exception):
     pass

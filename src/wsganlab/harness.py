@@ -68,26 +68,6 @@ from .wsgan import (
     train,
 )
 
-__all__ = [
-    "HarnessError",
-    "LfPlan",
-    "ExperimentConfig",
-    "TheoryGridConfig",
-    "default_benchmark_config",
-    "config_hash",
-    "derive_seed",
-    "RunManifest",
-    "open_run",
-    "run_benchmark",
-    "summarize_rows",
-    "run_theory_suite",
-    "run_augmentation",
-    "make_lf_applicator",
-    "verify_benchmark_dir",
-    "BENCHMARK_MODELS",
-    "METRIC_NAMES",
-]
-
 
 class HarnessError(Exception):
     pass
@@ -163,6 +143,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise HarnessError("need at least one seed")
+        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        if repeated:
+            raise HarnessError(f"seeds repeat {repeated}: each run seed names its own output files")
+        # each unit sets these from its run seed and model, so a given value would be ignored
+        for section, name in (("dataset", "seed"), ("training", "mode"), ("training", "seed"), ("classifier", "seed")):
+            value, default = getattr(getattr(self, section), name), getattr(type(getattr(self, section)), name)
+            if value != default:
+                raise HarnessError(f"{section}.{name} is {value!r}: the harness derives it, so leave it at {default!r}")
         bad = [m for m in self.metrics if m not in METRIC_NAMES]
         if bad:
             raise HarnessError(f"unknown metrics {bad}; choose from {METRIC_NAMES}")

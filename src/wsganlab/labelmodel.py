@@ -13,26 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from .data import read_json, write_json
-
-__all__ = [
-    "WeakSupError",
-    "InfeasibleLfSpecError",
-    "DegenerateLabelMatrixWarning",
-    "LfSpec",
-    "LabelMatrix",
-    "PosteriorTable",
-    "LfStats",
-    "DawidSkeneResult",
-    "generate_synthetic_lfs",
-    "lf_stats",
-    "majority_vote",
-    "weighted_softmax_posterior",
-    "crisp_labels",
-    "dawid_skene_fit",
-    "save_label_matrix",
-    "load_label_matrix",
-]
 
 
 class WeakSupError(Exception):
@@ -71,7 +53,7 @@ class LfSpec:
             raise WeakSupError(f"propensity {self.propensity} outside (0, 1]")
 
 
-def _as_votes(L, class_count: int | None = None) -> tuple[np.ndarray, int | None]:
+def as_votes(L, class_count: int | None = None) -> tuple[np.ndarray, int | None]:
     """(votes, C) of a LabelMatrix or a raw (n, m) vote array.
 
     C is `class_count` when given, else the matrix's own; a raw array without
@@ -267,7 +249,7 @@ def lf_stats(L, true_labels: np.ndarray) -> LfStats:
 
     Accuracy is undefined (NaN) for an LF with no votes.
     """
-    votes, _ = _as_votes(L)
+    votes, _ = as_votes(L)
     y = np.asarray(true_labels, dtype=np.int64)
     if y.shape != (votes.shape[0],):
         raise WeakSupError("true_labels length must match the matrix rows")
@@ -284,7 +266,7 @@ def majority_vote(L, class_count: int | None = None) -> PosteriorTable:
 
     Rows with no votes get the uniform distribution and covered=False.
     """
-    votes, C = _as_votes(L, class_count)
+    votes, C = as_votes(L, class_count)
     counts = _scatter(_vote_index(votes, C), None)
     covered = counts.sum(axis=1) > 0
     probs = np.full((votes.shape[0], C), 1.0 / C)
@@ -302,11 +284,28 @@ def weighted_softmax_posterior(votes, weights, class_count: int) -> np.ndarray:
     weights may be shared (m,) or per-row (n, m).  A row with no votes scores
     zero everywhere and comes out uniform.
     """
-    votes, C = _as_votes(votes, class_count)
+    votes, C = as_votes(votes, class_count)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape not in (votes.shape, votes.shape[1:]):
         raise WeakSupError(f"weights shape {w.shape} incompatible with votes {votes.shape}")
     return _softmax_rows(_scatter(_vote_index(votes, C), w))[0]
+
+
+def weighted_posterior_tensor(votes: np.ndarray, weights: ad.Tensor, class_count: int) -> ad.Tensor:
+    """Differentiable twin of weighted_softmax_posterior for a vote batch.
+
+    votes: (n, m) ints; weights: (n, m) or broadcastable (m,) Tensor.  The
+    class scores are one linear node: the vote scatter, whose adjoint gathers
+    each vote's class gradient back to its weight.
+    """
+    cast = _vote_index(np.asarray(votes, dtype=np.int64), class_count)
+
+    def adjoint(g: np.ndarray) -> np.ndarray:
+        grad = np.zeros(cast.shape[0] * cast.shape[1])
+        grad[cast.slot] = _gather(cast, g)
+        return grad.reshape(cast.shape)
+
+    return ad.softmax(ad.linear_map(weights, lambda w: _scatter(cast, w), adjoint))
 
 
 def crisp_labels(posteriors: PosteriorTable) -> np.ndarray:
@@ -343,7 +342,7 @@ def dawid_skene_fit(
     1-1e-4].  The marginal log-likelihood, recorded each iteration, never
     decreases; convergence is an absolute change below `tol`.
     """
-    votes, C = _as_votes(L, class_count)
+    votes, C = as_votes(L, class_count)
     n, m = votes.shape
     if n == 0:
         raise WeakSupError("empty label matrix")

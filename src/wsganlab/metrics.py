@@ -11,20 +11,6 @@ from . import autodiff as ad
 from .labelmodel import PosteriorTable, crisp_labels
 from .nn import MLP, one_hot
 
-__all__ = [
-    "MetricError",
-    "MetricUndefinedError",
-    "pseudolabel_accuracy",
-    "weighted_f1",
-    "average_precision",
-    "weighted_map",
-    "adjusted_rand_index",
-    "frechet_gaussian_distance",
-    "frechet_from_moments",
-    "ClassifierConfig",
-    "train_eval_classifier",
-]
-
 
 class MetricError(Exception):
     pass

@@ -14,31 +14,6 @@ import numpy as np
 
 from .data import write_json
 
-__all__ = [
-    "TheoryError",
-    "TheoryInputs",
-    "NoisyChannel",
-    "FiniteJoint",
-    "CheckResult",
-    "TheoryEntry",
-    "TheoryReport",
-    "mv_error_bound",
-    "mv_error_exact",
-    "simulate_mv_error",
-    "min_lfs",
-    "channel_inf_norm_inverse",
-    "apply_channel",
-    "tv_distance",
-    "hellinger_squared",
-    "random_finite_joint",
-    "verify_rcgan_tv_chain",
-    "mv_bound_entry",
-    "min_lfs_entry",
-    "hellinger_tv_entry",
-    "generalization_bound",
-    "generalization_bound_entry",
-]
-
 
 class TheoryError(Exception):
     pass

@@ -21,43 +21,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam, Tensor
 from .data import read_json, write_csv
-from .labelmodel import (
-    PosteriorTable,
-    _as_votes,
-    _gather,
-    _scatter,
-    _vote_index,
-    crisp_labels,
-    weighted_softmax_posterior,
-)
+from .labelmodel import PosteriorTable, as_votes, crisp_labels, weighted_posterior_tensor, weighted_softmax_posterior
 from .metrics import adjusted_rand_index
 from .nn import MLP, Linear, one_hot
 
-__all__ = [
-    "TrainingError",
-    "TrainingDivergedError",
-    "AugmentationRejectedError",
-    "TrainingConfig",
-    "ModelBundle",
-    "TrainingHistory",
-    "HISTORY_COLUMNS",
-    "clamp_probs",
-    "generator_loss",
-    "binary_cross_entropy",
-    "info_loss",
-    "cross_entropy",
-    "weighted_posterior_tensor",
-    "alignment_loss",
-    "train",
-    "pseudolabel_table",
-    "generate_samples",
-    "BalanceReport",
-    "class_balance_check",
-    "AugmentationResult",
-    "augment_dataset",
-    "save_bundle",
-    "load_bundle",
-]
 
 _MODES = ("encoder", "vector", "infogan")
 _CLAMP = 1e-7
@@ -249,23 +216,6 @@ def info_loss(code_onehot: np.ndarray, code_probs) -> Tensor:
     return cross_entropy(code_probs, np.asarray(code_onehot, dtype=np.float64))
 
 
-def weighted_posterior_tensor(votes: np.ndarray, weights: Tensor, class_count: int) -> Tensor:
-    """Differentiable twin of weighted_softmax_posterior for a vote batch.
-
-    votes: (n, m) ints; weights: (n, m) or broadcastable (m,) Tensor.  The
-    class scores are one linear node: the label models' vote scatter, whose
-    adjoint gathers each vote's class gradient back to its weight.
-    """
-    cast = _vote_index(np.asarray(votes, dtype=np.int64), class_count)
-
-    def adjoint(g: np.ndarray) -> np.ndarray:
-        grad = np.zeros(cast.shape[0] * cast.shape[1])
-        grad[cast.slot] = _gather(cast, g)
-        return grad.reshape(cast.shape)
-
-    return ad.softmax(ad.linear_map(weights, lambda w: _scatter(cast, w), adjoint))
-
-
 def alignment_loss(
     bundle: ModelBundle,
     x_batch: np.ndarray,
@@ -364,7 +314,7 @@ def train(dataset, L, config: TrainingConfig) -> tuple[ModelBundle, TrainingHist
     hidden_labels = np.asarray(dataset.labels, dtype=np.int64)
     if not np.isfinite(x).all():
         raise TrainingError("dataset features must be finite")
-    votes, _ = _as_votes(L)
+    votes, _ = as_votes(L)
     if votes.shape[0] != x.shape[0]:
         raise TrainingError("label matrix rows must match dataset rows")
     covered_mask = (votes != 0).any(axis=1)
@@ -463,7 +413,7 @@ def pseudolabel_table(bundle: ModelBundle, x: np.ndarray, L=None) -> PosteriorTa
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     C = bundle.class_count
-    votes = _as_votes(L)[0] if L is not None else np.zeros((n, bundle.num_lfs), dtype=np.int64)
+    votes = as_votes(L)[0] if L is not None else np.zeros((n, bundle.num_lfs), dtype=np.int64)
     if votes.shape[0] != n:
         raise TrainingError("label matrix rows must match features")
     covered = (votes != 0).any(axis=1)

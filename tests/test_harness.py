@@ -89,6 +89,40 @@ def test_experiment_config_rejects_unknown_metric():
         tiny_config(seeds=())
 
 
+def test_run_seed_streams_are_distinct():
+    # two streams under one key draw the same numbers: with the test stream on
+    # the data stream, the end classifier would be scored on its training set
+    streams = [value for name, value in vars(harness).items() if name.startswith("_STREAM_")]
+    assert len(streams) == 7 and len(set(streams)) == len(streams)
+
+
+@pytest.mark.parametrize("section, name, value", [("dataset", "seed", 5), ("training", "mode", "vector"),
+                                                 ("training", "seed", 5), ("classifier", "seed", 5)])
+def test_experiment_config_rejects_a_setting_the_harness_derives(section, name, value):
+    # each unit overrides these from its run seed and model, so a given value would change only the hash
+    config = tiny_config()
+    changed = dataclasses.replace(getattr(config, section), **{name: value})
+    with pytest.raises(HarnessError, match=f"^{section}\\.{name} is {value!r}: the harness derives it"):
+        dataclasses.replace(config, **{section: changed})
+
+
+def test_experiment_config_rejects_a_repeated_seed():
+    # two units of one seed would train into the same files
+    with pytest.raises(HarnessError, match=r"^seeds repeat \[11\]"):
+        tiny_config(seeds=(11, 12, 11))
+
+
+def test_cli_benchmark_rejects_a_derived_setting(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"training": {"seed": 5}}))
+    out = tmp_path / "runs"
+    capsys.readouterr()
+    assert run_cli("benchmark", "--config", path, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: training.seed is 5: the harness derives it") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_training_section_may_omit_dimension_fields(tmp_path):
     explicit = tiny_config()
     raw = dataclasses.asdict(explicit)

@@ -1,11 +1,14 @@
 """Source hygiene: every name a package module imports is used in it, every
-name it exports has a user outside the tests, every indented JSON file is
-written by `data.write_json`, every dataclass field has a reader and is not
-read only by its own `__post_init__` check, the package runs on numpy alone,
-the package root binds only `__version__` and the modules, every name a
-demo imports from the package exists, and only `harness` names the run manifest.
+public name it defines has a user outside the tests, no module imports or reads
+another module's underscore name, every indented JSON file is written by
+`data.write_json`, every dataclass field has a reader and is not read only by
+its own `__post_init__` check, the package runs on numpy alone, the package
+root binds only `__version__` and the modules, every name a demo imports from
+the package exists, and only `harness` names the run manifest.
 
-`__init__.py` is exempt from both name checks because its submodule imports
+A module's public names are the functions, classes and assigned names at its
+top level without a leading underscore; there are no `__all__` lists.
+`__init__.py` is exempt from the name checks because its submodule imports
 bind names that it never loads.
 """
 import ast
@@ -75,10 +78,16 @@ def test_json_files_go_through_write_json(path):
 
 
 def _exports(tree) -> list[str]:
+    """The functions, classes and assigned names at a module's top level
+    without a leading underscore, in definition order."""
+    names = []
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            return list(ast.literal_eval(node.value))
-    return []
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
 
 
 def _own_loads(tree) -> set[str]:
@@ -127,11 +136,14 @@ def _package_uses(tree, init_exports: dict[str, str]) -> set[tuple[str, str]]:
 
 
 def unused_exports(modules: dict[str, str], init: str, users: list[str], targets, readme: str) -> list[str]:
-    """`module.name` for each `__all__` name of `modules` (name -> source) with no user.
+    """`module.name` for each public name of `modules` (name -> source) with no user.
 
-    A user is an import or `module.name` read in another package module or in
-    one of the `users` sources, a (module, attribute) pair in `targets`, a load
-    in its own module outside its own definition, or a backticked README mention.
+    A public name is a top-level function, class or assigned name without a
+    leading underscore (`_exports`); an underscore name is private to its
+    module, which `private_uses` checks.  A user is an import or `module.name`
+    read in another package module or in one of the `users` sources, a
+    (module, attribute) pair in `targets`, a load in its own module outside its
+    own definition, or a backticked README mention.
     """
     init_exports = {}
     for node in ast.parse(init).body:
@@ -153,17 +165,20 @@ def unused_exports(modules: dict[str, str], init: str, users: list[str], targets
 
 def test_unused_export_detector():
     modules = {
-        "autodiff": "__all__ = ['exp', 'log', 'Adam', 'helper', 'lonely', 'shown', 'dead']\n"
-        "def helper(): pass\ndef exp(): pass\ndef log(): pass\nclass Adam: pass\n"
+        "autodiff": "def helper(): pass\ndef exp(): pass\ndef log(): pass\nclass Adam: pass\n"
         "def lonely(): return lonely()\ndef shown(): pass\ndef dead(): pass\n"
-        "def unexported(): return helper()\n",
-        "nn": "from . import autodiff as ad\n__all__ = ['Net']\nclass Net: pass\nad.log\n",
+        "def _unexported(): return helper()\n",
+        "nn": "from . import autodiff as ad\nclass Net: pass\nad.log\n",
     }
     init = "from .autodiff import dead, exp\nfrom .nn import Net\n"
     users = ["import numpy as np\nfrom wsganlab import Net\nnp.exp\nnp.lonely\n"]
     readme = "the `wsganlab.autodiff.shown` op, ```bash\nlonely\n```\n"
     got = unused_exports(modules, init, users, [("autodiff", "Adam.step")], readme)
     assert got == ["autodiff.exp", "autodiff.lonely", "autodiff.dead"]
+    # a public constant is a name like any other; underscore names and imports are not public
+    modules["nn"] += "LIMIT = 3\nWIDTH: int = 2\n_SCALE = 4\nprint(WIDTH)\n"
+    got = unused_exports(modules, init, users, [("autodiff", "Adam.step")], readme)
+    assert got == ["autodiff.exp", "autodiff.lonely", "autodiff.dead", "nn.LIMIT"]
 
 
 def test_every_export_has_a_user():
@@ -172,6 +187,31 @@ def test_every_export_has_a_user():
     targets = [(module, attr) for _name, module, attr, _hook in spans.TARGETS]
     init, readme = (SRC / "__init__.py").read_text(), (ROOT / "README.md").read_text()
     assert unused_exports(modules, init, users, targets, readme) == []
+
+
+def private_uses(modules: dict[str, str]) -> list[str]:
+    """`user: module.name` for each underscore name of another package module
+    that a module of `modules` (name -> source) imports or reads as
+    `module.name`.  Dunders such as `__version__` are exempt."""
+    found = []
+    for user, source in modules.items():
+        for module, name in sorted(_package_uses(ast.parse(source), {})):
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                found.append(f"{user}: {module}.{name}")
+    return found
+
+
+def test_private_use_detector():
+    modules = {
+        "wsgan": "from . import __version__, autodiff as ad\nfrom .labelmodel import _scatter, crisp_labels\n"
+        "ad._node\nad.exp\n_local = crisp_labels\n",
+        "labelmodel": "def _scatter(): pass\n_scatter()\n",
+    }
+    assert private_uses(modules) == ["wsgan: autodiff._node", "wsgan: labelmodel._scatter"]
+
+
+def test_no_module_uses_another_modules_private_names():
+    assert private_uses({p.stem: p.read_text() for p in MODULES}) == []
 
 
 def test_init_binds_only_version_and_modules():

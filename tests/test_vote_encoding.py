@@ -13,9 +13,9 @@ from wsganlab.labelmodel import (
     _vote_index,
     dawid_skene_fit,
     majority_vote,
+    weighted_posterior_tensor,
     weighted_softmax_posterior,
 )
-from wsganlab.wsgan import weighted_posterior_tensor
 
 
 def reference_scores(votes, weights, class_count):
