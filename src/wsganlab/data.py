@@ -22,8 +22,9 @@ def from_json(cls, obj, source, where: str = ""):
     A dataclass takes an object whose keys are all fields and which holds every
     field without a default, and builds each field from its annotation: bool,
     int, float (an integer is kept as written), str, `X | None`, a dataclass, or
-    a list, tuple or dict, whose elements are checked when typed.  A mismatch
-    raises DataError naming the file `source` and the field path `where`.
+    a list, tuple or dict, whose elements are checked when typed.  A mismatch, or
+    a value the dataclass's own check refuses, raises DataError naming the file
+    `source` and the field path `where`.
     """
     if isinstance(cls, types.UnionType):  # X | None
         if obj is None:
@@ -42,7 +43,11 @@ def from_json(cls, obj, source, where: str = ""):
             if keys:
                 raise DataError(f"{source}: {problem} key {', '.join(prefix + k for k in sorted(keys))}")
         hints = typing.get_type_hints(cls)
-        return cls(**{key: from_json(hints[key], value, source, prefix + key) for key, value in obj.items()})
+        values = {key: from_json(hints[key], value, source, prefix + key) for key, value in obj.items()}
+        try:
+            return cls(**values)
+        except Exception as exc:  # each class's check raises its own module's error type
+            raise DataError(f"{source}: {where + ': ' if where else ''}{exc}") from exc
     if origin is dict and args:
         return {key: from_json(args[1], value, source, f"{where}.{key}") for key, value in obj.items()}
     if origin in (list, tuple) and args:
@@ -60,7 +65,7 @@ def read_json(cls, path, version: int | None = None):
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataError(f"{path}: not valid JSON: {exc}") from exc
     if version is not None and isinstance(obj, dict) and obj.get("format_version") != version:
         raise DataError(f"{path}: unsupported format_version {obj.get('format_version')!r}, expected {version}")
@@ -99,8 +104,11 @@ def read_csv(path) -> tuple[list, list]:
     """Header and rows of a file `write_csv` wrote.  An empty file, or a row
     whose cell count is not the header's (as a killed run may leave), raises
     DataError naming the file."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n").split(",") for ln in fh if ln.strip()]
+    try:
+        with open(path) as fh:
+            lines = [ln.rstrip("\n").split(",") for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"malformed CSV {path}: {exc}") from exc
     if not lines:
         raise DataError(f"empty CSV {path}: no header")
     header, rows = lines[0], lines[1:]

@@ -50,7 +50,6 @@ from .theory import (
     TheoryReport,
     generalization_bound_entry,
     hellinger_tv_entry,
-    min_lfs,
     min_lfs_entry,
     mv_bound_entry,
     random_finite_joint,
@@ -396,7 +395,7 @@ class TheoryGridConfig:
 
 def run_theory_suite(grid: TheoryGridConfig | None = None, out_dir=None) -> TheoryReport:
     """Numerically check every bound on the grid.  Invalid grid points (e.g.
-    a vote-error rate at or beyond the 0.49 cutoff) become "rejected_input"
+    a vote-error rate outside `min_lfs`'s domain) become "rejected_input"
     entries — reported, not fatal — and the run continues.
     """
     grid = grid or TheoryGridConfig()
@@ -406,23 +405,22 @@ def run_theory_suite(grid: TheoryGridConfig | None = None, out_dir=None) -> Theo
         for alpha in grid.alpha_values:
             report.add(mv_bound_entry(m, alpha, trials=grid.mc_trials, seed=derive_seed(grid.seed, m, int(alpha * 1000))))
 
+    with_mv_values = []  # (m, eps_lambda) of each eps_lambda inside min_lfs's domain, in grid order
     for eps_lambda in grid.eps_lambda_values:
         try:
-            report.add(min_lfs_entry(eps_lambda))
+            entry = min_lfs_entry(eps_lambda)
+            report.add(entry)
+            with_mv_values.append((entry.quantities["m"], eps_lambda))
         except TheoryError as exc:
             report.add_rejected("min_lfs", {"eps_lambda": eps_lambda}, str(exc))
 
     rng = np.random.default_rng(derive_seed(grid.seed, 999))
-    valid_mv = [e for e in grid.eps_lambda_values if 0 < e < 0.49]
     for j in range(grid.num_joints):
         support = int(rng.integers(2, grid.max_support + 1))
         P = random_finite_joint(rng, support)
         Q = random_finite_joint(rng, support)
         for eps in grid.eps_values:
-            with_mv = None
-            if valid_mv:
-                eps_lambda = valid_mv[j % len(valid_mv)]
-                with_mv = (min_lfs(eps_lambda), eps_lambda)
+            with_mv = with_mv_values[j % len(with_mv_values)] if with_mv_values else None
             report.add(verify_rcgan_tv_chain(P, Q, eps, with_mv=with_mv))
 
     report.add(hellinger_tv_entry(num_pairs=grid.hellinger_pairs, max_support=grid.max_support, seed=grid.seed))

@@ -470,13 +470,16 @@ def load_label_matrix(csv_path) -> LabelMatrix:
     """Inverse of save_label_matrix; validates shape against the sidecar."""
     csv_path = Path(csv_path)
     sidecar = read_json(_LabelMatrixSidecar, csv_path.with_suffix(".json"), version=1)
-    with open(csv_path, newline="") as fh:
-        header = next(csv.reader([fh.readline()]))
-        if header != [f"lf_{j}" for j in range(len(header))]:
-            raise WeakSupError(f"unexpected CSV header {header!r}")
-        votes = _read_votes(fh, len(header), csv_path)
+    try:
+        with open(csv_path, newline="") as fh:
+            header = next(csv.reader([fh.readline()]))
+            if header != [f"lf_{j}" for j in range(len(header))]:
+                raise WeakSupError(f"{csv_path}: unexpected CSV header {header!r}")
+            votes = _read_votes(fh, len(header), csv_path)
+    except UnicodeDecodeError as exc:  # in the first block read; loadtxt's own reads refuse in _read_votes
+        raise WeakSupError(f"malformed label-matrix CSV {csv_path}: {exc}") from exc
     if votes.shape != (sidecar.num_samples, sidecar.num_lfs):
         raise WeakSupError(
-            f"CSV shape {votes.shape} disagrees with sidecar ({sidecar.num_samples}, {sidecar.num_lfs})"
+            f"{csv_path}: CSV shape {votes.shape} disagrees with sidecar ({sidecar.num_samples}, {sidecar.num_lfs})"
         )
     return LabelMatrix(votes, sidecar.class_count, lf_specs=sidecar.lf_specs)

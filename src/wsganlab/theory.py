@@ -165,25 +165,6 @@ def min_lfs(eps_lambda: float) -> int:
 # noisy channel and statistical distances on finite joints
 
 
-@dataclass(frozen=True)
-class NoisyChannel:
-    """Binary symmetric label channel [[1-eps, eps], [eps, 1-eps]].
-
-    Full rank (finite inverse) exactly when eps < 1/2.
-    """
-
-    eps: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.eps < 0.5:
-            raise TheoryError(f"channel eps={self.eps} outside [0, 0.5)")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        e = self.eps
-        return np.array([[1.0 - e, e], [e, 1.0 - e]])
-
-
 def channel_inf_norm_inverse(eps: float) -> float:
     """Infinity norm of the inverse channel matrix: (1 - 2 eps)^{-1}."""
     if not 0.0 <= eps < 0.5:
@@ -220,12 +201,14 @@ def random_finite_joint(rng: np.random.Generator, support_size: int) -> FiniteJo
     return FiniteJoint(raw / raw.sum())
 
 
-def apply_channel(joint: FiniteJoint, channel: NoisyChannel) -> FiniteJoint:
-    """Corrupt the label: P~(x, y~) = sum_y P(x, y) C[y, y~].
-
-    The x-marginal is preserved (the channel is row-stochastic).
+def apply_channel(joint: FiniteJoint, eps: float) -> FiniteJoint:
+    """Corrupt the label: P~(x, y~) = sum_y P(x, y) C[y, y~] through the binary
+    symmetric channel C = [[1-eps, eps], [eps, 1-eps]], full rank exactly when
+    eps < 1/2.  The x-marginal is preserved (C is row-stochastic).
     """
-    return FiniteJoint(joint.table @ channel.matrix)
+    if not 0.0 <= eps < 0.5:
+        raise TheoryError(f"channel eps={eps} outside [0, 0.5)")
+    return FiniteJoint(joint.table @ np.array([[1.0 - eps, eps], [eps, 1.0 - eps]]))
 
 
 def _check_same_support(a: FiniteJoint, b: FiniteJoint) -> None:
@@ -272,11 +255,11 @@ def verify_rcgan_tv_chain(
         inputs={"eps": eps, "support_size": P.support_size, "with_mv": with_mv},
     )
 
-    def tv_through(channel: NoisyChannel) -> float:
-        return tv_distance(apply_channel(P, channel), apply_channel(Q, channel))
+    def tv_through(channel_eps: float) -> float:
+        return tv_distance(apply_channel(P, channel_eps), apply_channel(Q, channel_eps))
 
     tv_clean = tv_distance(P, Q)
-    tv_noisy = tv_through(NoisyChannel(eps))
+    tv_noisy = tv_through(eps)
     mult = channel_inf_norm_inverse(eps)
     entry.quantities.update(tv_clean=tv_clean, tv_noisy=tv_noisy, multiplier=mult)
     entry.check("data_processing: tv_noisy <= tv_clean", tv_noisy, tv_clean, tol)
@@ -291,7 +274,7 @@ def verify_rcgan_tv_chain(
                 "MV channel singular (ties-as-errors can exceed the single-voter error)"
             )
         hoeff = mv_error_bound(m, 0.5 - eps_lambda)
-        tv_mv = tv_through(NoisyChannel(eps_mv))
+        tv_mv = tv_through(eps_mv)
         mult_mv = channel_inf_norm_inverse(eps_mv)
         entry.quantities.update(eps_mv=eps_mv, hoeffding_bound=hoeff, tv_mv_noisy=tv_mv, mv_multiplier=mult_mv)
         entry.check("mv data_processing: tv_mv <= tv_clean", tv_mv, tv_clean, tol)

@@ -72,8 +72,8 @@ class TrainingConfig:
             raise TrainingError("align_weight must be >= 0")
 
 class ModelBundle:
-    """All networks plus their four Adam optimizers, sized by the data: C
-    classes (one latent code per class), m LFs and d feature dimensions.
+    """All networks, sized by the data: C classes (one latent code per class),
+    m LFs and d feature dimensions.
 
     Initialization consumes draws from `rng` in a fixed order — generator
     layers, trunk layers, discriminator head, code head, weight head, the two
@@ -101,11 +101,6 @@ class ModelBundle:
         self.code_to_label = Linear(C, C, rng)
         self.label_to_code = Linear(C, C, rng)
         self.weight_vector = Tensor(np.zeros(m), requires_grad=True)
-
-        self.opt_disc = Adam(self.disc_params(), lr=4e-4)
-        self.opt_gen = Adam(self.gen_params(), lr=1e-4)
-        self.opt_info = Adam(self.info_params(), lr=1e-4)
-        self.opt_align = Adam(self.align_params(), lr=8e-5)
 
     # parameter groups, one per loss term
     def disc_params(self) -> list[Tensor]:
@@ -355,9 +350,12 @@ def train(dataset, L, config: TrainingConfig) -> tuple[ModelBundle, TrainingHist
         raw, parts = alignment_loss(bundle, x[cov], votes[cov], epoch)
         return ad.scale(raw, config.align_weight), {"align_loss": float(raw.data), "penalty": parts["penalty"]}
 
-    steps = [(disc, bundle.opt_disc), (gen, bundle.opt_gen), (info, bundle.opt_info)]
+    # each step with the parameter group it moves and its Adam learning rate
+    schedule = [(disc, bundle.disc_params(), 4e-4), (gen, bundle.gen_params(), 1e-4),
+                (info, bundle.info_params(), 1e-4)]
     if config.mode != "infogan":
-        steps.append((align, bundle.opt_align))
+        schedule.append((align, bundle.align_params(), 8e-5))
+    steps = [(step, Adam(params, lr=lr)) for step, params, lr in schedule]
 
     def inputs(nb):
         return rng.standard_normal((nb, config.z_dim)), rng.integers(1, C + 1, size=nb)
@@ -548,8 +546,7 @@ def save_bundle(bundle: ModelBundle, path) -> Path:
     """Versioned JSON checkpoint: config and every parameter array.
 
     The network sizes are not stored: `load_bundle` reads them off the
-    parameter shapes.  Optimizer moments are not serialized; a loaded bundle
-    restarts its optimizers fresh.
+    parameter shapes.
     """
     path = Path(path)
     payload = {

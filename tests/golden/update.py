@@ -3,9 +3,10 @@
 The pipeline is a tiny benchmark (criterion 12's config) through
 `run_benchmark`, then `run_augmentation` on its encoders, then a small
 `run_theory_suite`.  `digest.json` records the build it ran on (numpy version,
-BLAS name and version, machine) and the sha256 of every output file but
-`manifest.json`, which holds wall times.  `csv/` holds copies of the CSV
-outputs, for comparing cell by cell on another build.
+BLAS name and version, the BLAS kernel picked at load time, machine) and the
+sha256 of every output file but `manifest.json`, which holds wall times.
+`csv/` holds copies of the CSV outputs, for comparing cell by cell on another
+build.
 
     PYTHONPATH=src python tests/golden/update.py
 
@@ -13,6 +14,7 @@ rewrites both.  A change that rewrites them says what moved and why.
 """
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import platform
 import shutil
@@ -40,11 +42,24 @@ CONFIG = ExperimentConfig(
 GRID = TheoryGridConfig(mc_trials=2000, num_joints=5, hellinger_pairs=50)
 
 
+def blas_kernel() -> str:
+    """The kernel OpenBLAS picked for this CPU when it loaded (`OPENBLAS_CORETYPE`
+    overrides the choice), read from the library numpy bundles.  Without that
+    library, numpy's SIMD extensions found on this CPU stand in for it."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so")):
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+            corename = getattr(ctypes.CDLL(str(lib)), symbol, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return "simd " + " ".join(np.show_config(mode="dicts").get("SIMD Extensions", {}).get("found", []))
+
+
 def build() -> dict:
     """The numerical build the outputs depend on."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {"numpy": np.__version__, "blas": f"{blas.get('name', '?')} {blas.get('version', '')}".strip(),
-            "machine": platform.machine()}
+            "blas_kernel": blas_kernel(), "machine": platform.machine()}
 
 
 def run_pipeline(out: Path) -> dict:

@@ -26,7 +26,8 @@ MUTANTS = [
     ("M1", "src/wsganlab/wsgan.py", "alignment_loss(bundle, x[cov], votes[cov], epoch)",
      "alignment_loss(bundle, x[cov], votes[np.roll(cov, 1)], epoch)"),
     # the alignment loss steps an optimizer that holds no parameters
-    ("M2", "src/wsganlab/wsgan.py", "steps.append((align, bundle.opt_align))", "steps.append((align, Adam([], 0.0)))"),
+    ("M2", "src/wsganlab/wsgan.py", "schedule.append((align, bundle.align_params(), 8e-5))",
+     "schedule.append((align, [], 8e-5))"),
     # inference weighs every vote 0.5 in place of the learned weights
     ("M3", "src/wsganlab/wsgan.py", "weights = bundle.lf_weights(bundle.features(Tensor(x[covered]))).data",
      "weights = bundle.lf_weights(bundle.features(Tensor(x[covered]))).data * 0.0 + 0.5"),

@@ -175,5 +175,9 @@ def test_from_json_rejects_naming_file_and_path(raw, message):
 
 
 def test_from_json_leaves_dataclass_validation_to_the_class():
-    with pytest.raises(ValueError, match="class_count must be >= 2"):
+    # the class's own check refuses; from_json names the file and the field path
+    with pytest.raises(DataError, match=r"^s\.json: class_count must be >= 2$") as refused:
         from_json(DatasetSpec, {"class_count": 1}, "s.json")
+    assert isinstance(refused.value.__cause__, ValueError)
+    with pytest.raises(DataError, match=r"^s\.json: dataset: sigma must be positive$"):
+        from_json(ExperimentConfig, {"dataset": {"sigma": 0}}, "s.json")

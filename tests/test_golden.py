@@ -10,9 +10,12 @@ ran, and it never skips.
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import wsganlab
 from wsganlab.data import read_csv
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -69,3 +72,23 @@ def test_pipeline_outputs_match_the_golden_digest(tmp_path):
         print(f"golden: cells of {len(csvs)} CSV files within rel {REL_TOL} on {update.build()}, "
               f"recorded on {recorded['build']}")
         assert [d for rel in csvs for d in csv_differences(tmp_path / rel, GOLDEN / "csv" / rel, rel)] == []
+
+
+def test_another_blas_kernel_changes_the_build_and_passes_the_cell_comparison(tmp_path):
+    # OPENBLAS_CORETYPE makes OpenBLAS load another kernel, which may move the
+    # last bits of a float: the build must tell it apart, and the cells must agree
+    kernel = "Prescott" if update.build()["blas_kernel"] == "Haswell" else "Haswell"
+    paths = [str(GOLDEN), str(Path(wsganlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    script = ("import json, sys, update; "
+              "print(json.dumps([update.build(), update.run_pipeline(update.Path(sys.argv[1]))]))")
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True,
+                         check=True)
+    build, hashes = json.loads(out.stdout)
+    recorded = json.loads((GOLDEN / "digest.json").read_text())
+    assert build != update.build() and build != recorded["build"]
+    assert sorted(hashes) == sorted(recorded["sha256"])
+    moved = [rel for rel, h in hashes.items() if h != recorded["sha256"][rel]]
+    print(f"golden: {len(moved)} of {len(hashes)} files hash differently on kernel {build['blas_kernel']}")
+    csvs = [rel for rel in hashes if rel.endswith(".csv")]
+    assert [d for rel in csvs for d in csv_differences(tmp_path / rel, GOLDEN / "csv" / rel, rel)] == []

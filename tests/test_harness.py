@@ -119,7 +119,7 @@ def test_cli_benchmark_rejects_a_derived_setting(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("benchmark", "--config", path, "--out", out) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: training.seed is 5: the harness derives it") and err.count("\n") == 1
+    assert err.startswith(f"error: {path}: training.seed is 5: the harness derives it") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -169,8 +169,9 @@ def test_load_experiment_config(tmp_path):
     path.write_text(json.dumps(dataclasses.asdict(tiny_config())))
     assert read_json(ExperimentConfig, path) == tiny_config()
     path.write_text(json.dumps({"seeds": []}))
-    with pytest.raises(HarnessError):
+    with pytest.raises(DataError) as refused:  # the config's own refusal, naming the file
         read_json(ExperimentConfig, path)
+    assert str(refused.value) == f"{path}: need at least one seed" and isinstance(refused.value.__cause__, HarnessError)
 
 
 # ---------------------------------------------------------------------------
@@ -669,18 +670,44 @@ def test_cli_refused_augment_leaves_no_out_dir(tmp_path, capsys):
         lambda lines: ["a,b,c"] + lines[1:],
         lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:],
         lambda lines: lines[:2] + ["abc," + lines[2].split(",", 1)[1]] + lines[3:],
+        lambda lines: lines[:2] + ["\udc80" + lines[2]] + lines[3:],  # the byte 0x80, not UTF-8
     ],
-    ids=["bad-header", "short-row", "non-numeric"],
+    ids=["bad-header", "short-row", "non-numeric", "non-utf8"],
 )
 def test_cli_dataset_errors_return_one(tmp_path, capsys, corrupt):
     out = tmp_path / "runs"
     assert run_cli("synth-data", "--out", out, "--classes", "3", "--samples", "20", "--seed", "4") == 0
     csv_path = out / "dataset.csv"
-    csv_path.write_text("\n".join(corrupt(csv_path.read_text().splitlines())) + "\n")
+    text = "\n".join(corrupt(csv_path.read_text().splitlines())) + "\n"
+    csv_path.write_bytes(text.encode("utf-8", "surrogateescape"))
     capsys.readouterr()
     assert run_cli("synth-lfs", "--out", out, "--dataset", csv_path, "--num-lfs", "4", "--seed", "4") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(csv_path) in err
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, message",
+    [
+        ("lfs.csv", lambda b: b[:30] + b"\x80" + b[31:], "can't decode byte 0x80"),
+        ("lfs.csv", lambda b: b.replace(b"lf_0", b"lfX0", 1), "unexpected CSV header"),
+        ("lfs.csv", lambda b: b"".join(b.splitlines(keepends=True)[:11]), "CSV shape (10, 4) disagrees with sidecar"),
+        ("spec.json", lambda b: b[:10] + b"\x80" + b[11:], "can't decode byte 0x80"),
+    ],
+    ids=["lfs-non-utf8", "lfs-bad-header", "lfs-truncated", "spec-non-utf8"],
+)
+def test_cli_refused_input_file_is_named(tmp_path, capsys, name, corrupt, message):
+    out = tmp_path / "runs"
+    assert run_cli("synth-data", "--out", out, "--classes", "3", "--samples", "20", "--seed", "4") == 0
+    assert run_cli("synth-lfs", "--out", out, "--dataset", out / "dataset.csv", "--num-lfs", "4", "--seed", "4") == 0
+    (out / "spec.json").write_text(json.dumps(dataclasses.asdict(DatasetSpec(class_count=3, num_samples=20))))
+    path = out / name
+    path.write_bytes(corrupt(path.read_bytes()))
+    command = {"lfs.csv": ["fit-labelmodel", "--lfs", path], "spec.json": ["synth-data", "--spec", path]}[name]
+    capsys.readouterr()
+    assert run_cli(*command, "--out", tmp_path / "fit") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and message in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -735,6 +762,7 @@ def _set(key, value):
 _JSON_CASES = [
     ("spec", "unknown", _set("colour", 1), "unknown key colour"),
     ("spec", "mistyped", _set("num_samples", "30"), "num_samples must be int"),
+    ("spec", "refused", _set("sigma", 0), "sigma must be positive"),
     ("specs", "unknown", _set("0.region", 1), "unknown key [0].region"),
     ("specs", "missing", _set("0.target_class", _DROP), "missing required key [0].target_class"),
     ("specs", "mistyped", _set("0.accuracy", "high"), "[0].accuracy must be float"),
@@ -755,6 +783,7 @@ _JSON_CASES = [
     ("benchmark-config", "nested-unknown", _set("training.epoch", 1), "unknown key training.epoch"),
     ("benchmark-config", "training-mistyped", _set("training.epochs", 1.5), "training.epochs must be int"),
     ("benchmark-config", "nested-mistyped", _set("lf_plan.num_lfs", "5"), "lf_plan.num_lfs must be int"),
+    ("benchmark-config", "nested-refused", _set("dataset.sigma", 0), "dataset: sigma must be positive"),
     ("augment-manifest", "unknown", _set("extra", 1), "unknown key extra"),
     ("augment-manifest", "missing", _set("config_hash", _DROP), "missing required key config_hash"),
     ("augment-manifest", "mistyped", _set("seeds", "11"), "seeds must be list"),

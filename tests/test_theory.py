@@ -15,7 +15,6 @@ import pytest
 from wsganlab.harness import TheoryGridConfig
 from wsganlab.theory import (
     FiniteJoint,
-    NoisyChannel,
     TheoryError,
     TheoryInputs,
     TheoryReport,
@@ -135,16 +134,17 @@ def test_mv_bound_entry_passes():
 
 
 def test_channel_matrix_and_inverse_norm():
-    ch = NoisyChannel(0.2)
-    M = ch.matrix
+    # a point mass on (x, y) comes out of the channel as row y of its matrix
+    M = np.array([apply_channel(FiniteJoint(np.eye(2)[[y]]), 0.2).table[0] for y in (0, 1)])
     assert np.allclose(M.sum(axis=1), 1.0)
     assert np.allclose(M, [[0.8, 0.2], [0.2, 0.8]])
     inv = np.linalg.inv(M)
     oracle = np.abs(inv).sum(axis=1).max()
     assert abs(channel_inf_norm_inverse(0.2) - oracle) < 1e-12
     assert abs(channel_inf_norm_inverse(0.2) - 1 / 0.6) < 1e-12
-    with pytest.raises(TheoryError):
-        NoisyChannel(0.5)
+    for eps in (0.5, -0.1):
+        with pytest.raises(TheoryError, match="outside"):
+            apply_channel(FiniteJoint(np.eye(2)[[0]]), eps)
 
 
 def test_finite_joint_validation_and_marginal():
@@ -160,7 +160,7 @@ def test_finite_joint_validation_and_marginal():
 def test_apply_channel_preserves_x_marginal():
     rng = np.random.default_rng(9)
     joint = random_finite_joint(rng, 6)
-    noisy = apply_channel(joint, NoisyChannel(0.3))
+    noisy = apply_channel(joint, 0.3)
     assert np.allclose(noisy.table.sum(axis=1), joint.table.sum(axis=1), atol=1e-14)
     assert abs(noisy.table.sum() - 1.0) < 1e-12
 

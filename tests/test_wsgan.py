@@ -384,13 +384,19 @@ def test_alignment_steps_use_own_votes_and_move_align_params(monkeypatch, mode):
         rows += batch_rows
     assert sorted(rows) == np.flatnonzero((L.votes != 0).any(axis=1)).tolist()  # every covered row, once
 
+    # each stepped optimizer holds exactly one parameter group's list, in order,
+    # so "align" names an optimizer over align_params() and nothing else
+    groups = {"d": bundle.disc_params(), "g": bundle.gen_params(), "info": bundle.info_params(),
+              "align": bundle.align_params()}
+
+    def group_of(opt):
+        (name,) = [k for k, params in groups.items() if [id(p) for p in params] == [id(p) for p in opt.params]]
+        return name
+
     # per batch: D, G and info steps, then one alignment step if and only if alignment_loss ran
-    names = {id(bundle.opt_disc): "d", id(bundle.opt_gen): "g", id(bundle.opt_info): "info",
-             id(bundle.opt_align): "align"}
-    batches = " ".join(e if e == "loss" else names[id(e)] for e in events).replace(" d ", "\nd ").splitlines()
+    batches = " ".join(e if e == "loss" else group_of(e) for e in events).replace(" d ", "\nd ").splitlines()
     assert set(batches) <= {"d g info", "d g info loss align"}
     assert len(moved) == len(calls) > 0
-    assert [id(p) for p in bundle.opt_align.params] == [id(p) for p in bundle.align_params()]
     assert all(all(step) for step in moved)  # each alignment step moves every align_params() tensor
 
 
@@ -652,6 +658,9 @@ def test_bundle_roundtrip_bitwise(tmp_path):
     data, L = small_problem()
     bundle, _ = train(data, L, small_config(mode="encoder"))
     loaded = load_bundle(save_bundle(bundle, tmp_path / "ckpt.json"))
+    # a bundle is what its checkpoint holds: the same attributes, and no optimizer state
+    assert vars(loaded).keys() == vars(bundle).keys()
+    assert not any(isinstance(v, ad.Adam) for b in (bundle, loaded) for v in vars(b).values())
     assert loaded.config == bundle.config
     assert (loaded.class_count, loaded.num_lfs, loaded.feature_dim) == (3, 4, 2)
     for (na, pa), (nb, pb) in zip(bundle.named_params(), loaded.named_params()):
