@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands that write files put them under an output root taken from --out,
-WSGANLAB_OUT or ./runs, in that order.  Exit status is nonzero on any
-invariant violation (theory check failure, summary mismatch, rejected
-augmentation making all rows invalid, bad inputs).
+WSGANLAB_OUT or ./runs, in that order.  A command's config is its JSON file,
+or the class defaults without one, with the flags given on top; a flag left
+out takes the default of the class or function that owns it.  Exit status is
+nonzero on any invariant violation (theory check failure, summary mismatch,
+rejected augmentation making all rows invalid, bad inputs).
 """
 from __future__ import annotations
 
@@ -24,7 +26,6 @@ from .harness import (
     HarnessError,
     LfPlan,
     config_hash,
-    default_benchmark_config,
     open_run,
     run_augmentation,
     run_benchmark,
@@ -61,63 +62,57 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wsganlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"wsganlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument("--out", help="output root (default $WSGANLAB_OUT or ./runs)")
 
-    spec = DatasetSpec()
-    p = sub.add_parser("synth-data", help="sample a Gaussian-blob dataset and write CSV + sidecar")
-    p.add_argument("--classes", type=int, default=spec.class_count)
-    p.add_argument("--dim", type=int, default=spec.feature_dim)
-    p.add_argument("--samples", type=int, default=spec.num_samples)
-    p.add_argument("--radius", type=float, default=spec.radius)
-    p.add_argument("--sigma", type=float, default=spec.sigma)
-    p.add_argument("--seed", type=int, default=spec.seed)
-    p.add_argument("--spec", type=Path, help="JSON file of DatasetSpec fields; overrides the flags")
+    # a flag whose default a package class or function owns defaults to None here, and _given drops it
+    p = sub.add_parser("synth-data", parents=[writes], help="sample a Gaussian-blob dataset and write CSV + sidecar")
+    p.add_argument("--classes", type=int, dest="class_count")
+    p.add_argument("--dim", type=int, dest="feature_dim")
+    p.add_argument("--samples", type=int, dest="num_samples")
+    p.add_argument("--radius", type=float)
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--spec", type=Path, help="JSON file of DatasetSpec fields; the flags given override it")
     p.add_argument("--name", default="dataset")
-    p.add_argument("--out", help="output root (default $WSGANLAB_OUT or ./runs)")
 
-    p = sub.add_parser("synth-lfs", help="apply synthetic labeling functions to a dataset")
+    p = sub.add_parser("synth-lfs", parents=[writes], help="apply synthetic labeling functions to a dataset")
     p.add_argument("--dataset", type=Path, required=True, help="dataset CSV produced by synth-data")
     p.add_argument("--specs", type=Path, help="JSON list of LF spec objects")
-    plan = LfPlan()
-    p.add_argument("--num-lfs", type=int, default=plan.num_lfs)
-    p.add_argument("--accuracy-range", type=float, nargs=2, default=plan.accuracy_range)
-    p.add_argument("--propensity-range", type=float, nargs=2, default=plan.propensity_range)
+    p.add_argument("--num-lfs", type=int)
+    p.add_argument("--accuracy-range", type=float, nargs=2)
+    p.add_argument("--propensity-range", type=float, nargs=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--name", default="lfs")
-    p.add_argument("--out", help="output root")
 
-    p = sub.add_parser("fit-labelmodel", help="fit majority vote or Dawid-Skene to a label matrix")
+    p = sub.add_parser("fit-labelmodel", parents=[writes], help="fit majority vote or Dawid-Skene to a label matrix")
     p.add_argument("--lfs", type=Path, required=True, help="label-matrix CSV")
     p.add_argument("--model", choices=["mv", "ds"], default="ds")
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--tol", type=float)
     p.add_argument("--name", default="labelmodel")
-    p.add_argument("--out", help="output root")
 
-    p = sub.add_parser("train", help="train one model (encoder / vector / infogan)")
+    p = sub.add_parser("train", parents=[writes], help="train one model (encoder / vector / infogan)")
     p.add_argument("--dataset", type=Path, required=True)
     p.add_argument("--lfs", type=Path, required=True)
-    p.add_argument("--config", type=Path, help="JSON of TrainingConfig fields")
+    p.add_argument("--config", type=Path, help="JSON of TrainingConfig fields; the flags given override it")
     p.add_argument("--mode", choices=["encoder", "vector", "infogan"])
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--name", default="model")
-    p.add_argument("--out", help="output root")
 
-    p = sub.add_parser("benchmark", help="run the multi-seed benchmark sweep")
+    p = sub.add_parser("benchmark", parents=[writes], help="run the multi-seed benchmark sweep")
     p.add_argument("--config", type=Path, help="JSON experiment config (defaults to the desk benchmark)")
-    p.add_argument("--out", help="output root")
     p.add_argument("--dir-name", default="benchmark")
 
-    p = sub.add_parser("augment", help="augmentation study on top of a benchmark run's encoders")
+    p = sub.add_parser("augment", parents=[writes], help="augmentation study on top of a benchmark run's encoders")
     p.add_argument("--manifest", type=Path, required=True, help="the benchmark run's manifest.json")
-    p.add_argument("--n-synth", type=int, default=1000)
+    p.add_argument("--n-synth", type=int)
     p.add_argument("--mode", choices=list(AUG_MODES) + ["both"], default="both")
-    p.add_argument("--out", help="output root")
     p.add_argument("--dir-name", default="augmentation")
 
-    p = sub.add_parser("theory", help="run the numerical bound checks")
+    p = sub.add_parser("theory", parents=[writes], help="run the numerical bound checks")
     p.add_argument("--grid", type=Path, help="JSON grid config")
-    p.add_argument("--out", help="output root")
     p.add_argument("--dir-name", default="theory")
 
     p = sub.add_parser("report", help="pretty-print a benchmark summary and re-verify it")
@@ -125,18 +120,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _given(args, *flags) -> dict:
+    """The values of `flags` that the command line gave, a list (`nargs=2`) as a tuple."""
+    values = {flag: getattr(args, flag) for flag in flags}
+    return {flag: tuple(v) if isinstance(v, list) else v for flag, v in values.items() if v is not None}
+
+
+def _config(cls, path, args, *flags):
+    """`cls` read from the JSON file at `path`, or `cls()` without one, with the `flags` given on top."""
+    config = read_json(cls, path) if path else cls()
+    return dataclasses.replace(config, **_given(args, *flags))
+
+
 def _cmd_synth_data(args) -> int:
-    if args.spec:
-        spec = read_json(DatasetSpec, args.spec)
-    else:
-        spec = DatasetSpec(
-            class_count=args.classes,
-            feature_dim=args.dim,
-            num_samples=args.samples,
-            radius=args.radius,
-            sigma=args.sigma,
-            seed=args.seed,
-        )
+    spec = _config(DatasetSpec, args.spec, args, "class_count", "feature_dim", "num_samples", "radius", "sigma", "seed")
     data = synth_dataset(spec)
     csv_path, json_path = save_dataset(data, _made_root(args) / f"{args.name}.csv")
     print(f"wrote {csv_path} and {json_path}")
@@ -148,13 +145,8 @@ def _cmd_synth_lfs(args) -> int:
     if args.specs:
         specs = read_json(list[LfSpec], args.specs)
     else:
-        plan = LfPlan(
-            num_lfs=args.num_lfs,
-            accuracy_range=tuple(args.accuracy_range),
-            propensity_range=tuple(args.propensity_range),
-        )
-        rng = np.random.default_rng(args.seed)
-        specs = plan.sample(data.spec.class_count, rng)
+        plan = _config(LfPlan, None, args, "num_lfs", "accuracy_range", "propensity_range")
+        specs = plan.sample(data.spec.class_count, np.random.default_rng(args.seed))
     L = generate_synthetic_lfs(data.labels, specs, data.spec.class_count)
     csv_path, json_path = save_label_matrix(L, _made_root(args) / f"{args.name}.csv")
     print(f"wrote {csv_path} and {json_path}")
@@ -167,7 +159,7 @@ def _cmd_fit_labelmodel(args) -> int:
         table = majority_vote(L)
         info = {"model": "majority_vote", "class_count": L.class_count}
     else:
-        result = dawid_skene_fit(L, max_iters=args.max_iters, tol=args.tol)
+        result = dawid_skene_fit(L, **_given(args, "max_iters", "tol"))
         table = result.posteriors
         info = {
             "model": "dawid_skene",
@@ -190,16 +182,7 @@ def _cmd_fit_labelmodel(args) -> int:
 def _cmd_train(args) -> int:
     data = load_dataset(args.dataset)
     L = load_label_matrix(args.lfs)
-    config = read_json(TrainingConfig, args.config) if args.config else TrainingConfig()
-    overrides = {}
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    config = _config(TrainingConfig, args.config, args, "mode", "epochs", "seed")
     bundle, history = train(data, L, config)
     out = _made_root(args)
     ckpt = save_bundle(bundle, out / f"{args.name}_checkpoint.json")
@@ -209,7 +192,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    config = read_json(ExperimentConfig, args.config) if args.config else default_benchmark_config()
+    config = _config(ExperimentConfig, args.config, args)
     out_dir = _out_root(args) / args.dir_name
     manifest = run_benchmark(config, out_dir)
     print(f"benchmark {config_hash(config)[:12]} -> {out_dir}")
@@ -224,7 +207,7 @@ def _cmd_augment(args) -> int:
     config, manifest = open_run(args.manifest)  # run_augmentation checks the config against the run's hash
     modes = list(AUG_MODES) if args.mode == "both" else [args.mode]
     out_dir = _out_root(args) / args.dir_name
-    rows = run_augmentation(config, manifest, n_synth=args.n_synth, modes=modes, out_dir=out_dir)
+    rows = run_augmentation(config, manifest, modes=modes, out_dir=out_dir, **_given(args, "n_synth"))
     print(f"wrote {out_dir / 'augmentation.csv'}")
     rejected = [r for r in rows if not r[5]]
     for r in rejected:
@@ -233,7 +216,7 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    grid = read_json(TheoryGridConfig, args.grid) if args.grid else TheoryGridConfig()
+    grid = _config(TheoryGridConfig, args.grid, args)
     out_dir = _out_root(args) / args.dir_name
     report = run_theory_suite(grid, out_dir)
     print(report.to_text())

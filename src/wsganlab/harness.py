@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    DataError,
     Dataset,
     DatasetSpec,
     nearest_prototype_labels,
@@ -368,7 +369,12 @@ def verify_benchmark_dir(out_dir) -> list:
     are compared as the text `write_csv` writes: repr(), which reads back exactly."""
     out_dir = Path(out_dir)
     header, raw_rows = read_csv(out_dir / "per_seed.csv")
-    rows = [[int(r[0]), r[1]] + [float(v) for v in r[2:]] for r in raw_rows]
+    rows = []
+    for i, r in enumerate(raw_rows):
+        try:  # "nan", which marks a metric a model does not define, reads back as a float
+            rows.append([int(r[0]), r[1]] + [float(v) for v in r[2:]])
+        except ValueError as exc:
+            raise DataError(f"malformed CSV {out_dir / 'per_seed.csv'}: row {i}: {exc}") from None
     expected = [[model, metric, repr(mean), repr(std)] for model, metric, mean, std in summarize_rows(rows, header[2:])]
     _, raw_summary = read_csv(out_dir / "summary.csv")
     if len(raw_summary) != len(expected):

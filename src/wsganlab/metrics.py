@@ -189,6 +189,10 @@ class ClassifierConfig:
     batch_size: int = 64
     seed: int = 0
 
+    def __post_init__(self):
+        if self.hidden_dim < 1 or self.epochs < 0 or self.batch_size < 1:
+            raise MetricError("hidden_dim and batch_size must be >= 1 and epochs >= 0")
+
 
 def train_eval_classifier(
     train_x: np.ndarray,

@@ -300,18 +300,21 @@ def train(dataset, L, config: TrainingConfig) -> tuple[ModelBundle, TrainingHist
     step draws nothing, so an encoder run with align_weight=0 reproduces an
     infogan run bitwise.
 
-    The class count C comes from `dataset.spec`, the LF count from the vote
-    columns and the feature dimension from the feature columns.  The hidden
-    dataset labels are used only for the per-epoch history metrics (ARI of the
-    code head, covered-row pseudolabel accuracy), never in any gradient path.
+    The class count C comes from `dataset.spec`, and a `LabelMatrix` must
+    have the same; the LF count comes from the vote columns and the feature
+    dimension from the feature columns.  The hidden dataset labels are used
+    only for the per-epoch history metrics (ARI of the code head, covered-row
+    pseudolabel accuracy), never in any gradient path.
     """
     x = np.asarray(dataset.features, dtype=np.float64)
     hidden_labels = np.asarray(dataset.labels, dtype=np.int64)
     if not np.isfinite(x).all():
         raise TrainingError("dataset features must be finite")
-    votes, _ = as_votes(L)
+    votes, lf_classes = as_votes(L)
     if votes.shape[0] != x.shape[0]:
         raise TrainingError("label matrix rows must match dataset rows")
+    if lf_classes not in (None, dataset.spec.class_count):
+        raise TrainingError(f"label matrix has {lf_classes} classes, the dataset {dataset.spec.class_count}")
     covered_mask = (votes != 0).any(axis=1)
     if config.mode != "infogan" and not covered_mask.any():
         raise TrainingError("alignment modes need at least one covered row")
@@ -570,8 +573,13 @@ def load_bundle(path) -> ModelBundle:
         missing, unknown = sorted(named.keys() - ckpt.params.keys()), sorted(ckpt.params.keys() - named.keys())
         raise TrainingError(f"checkpoint {path}: missing params {missing}, unknown params {unknown}")
     for name, tensor in named.items():
-        stored = np.asarray(ckpt.params[name], dtype=np.float64)
+        try:
+            stored = np.asarray(ckpt.params[name], dtype=np.float64)
+        except (TypeError, ValueError) as exc:  # a ragged list, or an element that is not a number
+            raise TrainingError(f"checkpoint {path}: param {name} is not a numeric array: {exc}") from None
         if stored.shape != tensor.data.shape:
-            raise TrainingError(f"checkpoint param {name} has shape {stored.shape}, expected {tensor.data.shape}")
+            raise TrainingError(f"checkpoint {path}: param {name} has shape {stored.shape}, not {tensor.data.shape}")
+        if not np.isfinite(stored).all():
+            raise TrainingError(f"checkpoint {path}: param {name} is not finite")
         tensor.data = stored
     return bundle

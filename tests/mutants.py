@@ -54,6 +54,11 @@ MUTANTS = [
     # a failed training leaves no record in the manifest
     ("bench-failures", "src/wsganlab/harness.py",
      'manifest.failures.append({"seed": seed, "model": model, "error": error})', "pass"),
+    # the CLI builds each config from its JSON file or its defaults and drops the flags given
+    ("cli-flags", "src/wsganlab/cli.py", "return dataclasses.replace(config, **_given(args, *flags))", "return config"),
+    # the end classifier takes a config that trains nothing
+    ("classifier-check", "src/wsganlab/metrics.py",
+     "if self.hidden_dim < 1 or self.epochs < 0 or self.batch_size < 1:", "if False:"),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "runs", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_out",

@@ -12,7 +12,7 @@ import pytest
 
 from wsganlab import harness
 from wsganlab.cli import _COMMANDS, build_parser, main
-from wsganlab.data import DataError, DatasetSpec, from_json, read_csv, read_json, write_csv
+from wsganlab.data import DataError, DatasetSpec, from_json, load_dataset, read_csv, read_json, write_csv
 from wsganlab.harness import (
     AUG_HEADER,
     BENCHMARK_MODELS,
@@ -33,6 +33,7 @@ from wsganlab.harness import (
     summarize_rows,
     verify_benchmark_dir,
 )
+from wsganlab.labelmodel import WeakSupError, dawid_skene_fit, generate_synthetic_lfs, save_label_matrix
 from wsganlab.metrics import ClassifierConfig
 from wsganlab.wsgan import ModelBundle, TrainingConfig, TrainingDivergedError, load_bundle, save_bundle
 
@@ -370,6 +371,21 @@ def test_failed_training_is_recorded_and_the_sweep_goes_on(monkeypatch, tmp_path
     _assert_same_outputs(tmp_path / "cpus1", tmp_path / "cpus2")
 
 
+def test_failed_label_model_fit_is_recorded_and_the_sweep_goes_on(monkeypatch, tmp_path):
+    def dawid_skene_fit(L, class_count):
+        raise WeakSupError("EM diverged")
+
+    monkeypatch.setattr(harness, "dawid_skene_fit", dawid_skene_fit)
+    manifest = run_benchmark(tiny_config(seeds=(11,)), tmp_path)
+    assert manifest.failures == [{"seed": 11, "model": "dawid_skene", "error": "WeakSupError('EM diverged')"}]
+    assert set(manifest.checkpoints) == {f"{model}_seed11" for model in ("infogan", "wsgan_vector", "wsgan_encoder")}
+    _, rows = read_csv(tmp_path / "per_seed.csv")
+    assert [row[:2] for row in rows] == [["11", model] for model in BENCHMARK_MODELS]
+    for row in rows:
+        assert np.isnan([float(v) for v in row[2:]]).all() == (row[1] == "dawid_skene")
+    assert verify_benchmark_dir(tmp_path) == []  # the NaN row verifies
+
+
 def test_run_augmentation_passes_on_a_worker_training_error(tiny_run, monkeypatch):
     def train_eval_classifier(*args):
         raise TrainingDivergedError("g_loss", 0, float("inf"))
@@ -526,6 +542,18 @@ def test_cli_train(tmp_path):
     assert len(history) == 3  # header + 2 epochs
 
 
+def test_cli_train_refuses_a_label_matrix_of_another_class_count(tmp_path, capsys):
+    out = tmp_path / "runs"
+    for classes, name in (("4", "four"), ("3", "three")):
+        assert run_cli("synth-data", "--out", out, "--classes", classes, "--samples", "120", "--name", name) == 0
+    assert run_cli("synth-lfs", "--out", out, "--dataset", out / "three.csv", "--num-lfs", "4") == 0
+    capsys.readouterr()
+    args = ("train", "--out", tmp_path / "model", "--dataset", out / "four.csv", "--lfs", out / "lfs.csv")
+    assert run_cli(*args, "--epochs", "1") == 1
+    assert capsys.readouterr().err == "error: label matrix has 3 classes, the dataset 4\n"
+    assert not (tmp_path / "model").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_cli_train_on_a_non_finite_graph_returns_one(tmp_path, capsys):
     # the raw alignment loss is finite; the loss it steps on, scaled by 1e308, is not
@@ -641,6 +669,18 @@ def test_cli_errors_return_one(tmp_path, capsys):
     (tmp_path / "ckpt.json").write_text(json.dumps({"format_version": 2}))  # refused before its other keys
     assert run_cli(*args) == 1
     assert capsys.readouterr().err == f"error: {tmp_path / 'ckpt.json'}: unsupported format_version 2, expected 3\n"
+    # a parameter that is NaN, ragged or not a number is refused, naming the file and the parameter
+    bundle = ModelBundle(TrainingConfig(z_dim=2, hidden_dim=4), 3, 5, 2, np.random.default_rng(0))
+    payload = json.loads(save_bundle(bundle, tmp_path / "ckpt.json").read_text())
+    first, *rest = payload["params"]["code_head.w"]
+    for bad, problem in (([float("nan"), *first[1:]], "is not finite"), (first[1:], "is not a numeric array"),
+                         (["x", *first[1:]], "is not a numeric array")):
+        params = {**payload["params"], "code_head.w": [bad, *rest]}
+        (tmp_path / "ckpt.json").write_text(json.dumps({**payload, "params": params}))
+        assert run_cli(*args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {tmp_path / 'ckpt.json'}: param code_head.w {problem}")
+        assert err.count("\n") == 1
     assert not (tmp_path / "augmentation").exists()
     # a directory given for a file, and a file for a directory
     capsys.readouterr()
@@ -711,21 +751,27 @@ def test_cli_refused_input_file_is_named(tmp_path, capsys, name, corrupt, messag
 
 
 @pytest.mark.parametrize(
-    "corrupt",
-    [lambda text: "", lambda text: text[: text.rindex(",")]],
-    ids=["empty", "truncated"],
+    "name, corrupt, message",
+    [
+        ("summary.csv", lambda text: "", "empty CSV"),
+        ("summary.csv", lambda text: text[: text.rindex(",")], "malformed CSV"),
+        ("per_seed.csv", lambda text: text.replace("\n11,", "\neleven,", 1), "row 0: invalid literal for int()"),
+        ("per_seed.csv", lambda text: text.replace(",majority_vote,", ",majority_vote,x", 1),
+         "row 0: could not convert string to float"),
+    ],
+    ids=["empty", "truncated", "per-seed-word-seed", "per-seed-word-metric"],
 )
-def test_cli_report_rejects_a_damaged_summary(tiny_run, tmp_path, capsys, corrupt):
-    # a killed run can leave summary.csv empty or cut inside its last row
+def test_cli_report_rejects_a_damaged_summary(tiny_run, tmp_path, capsys, name, corrupt, message):
+    # a killed run can leave summary.csv empty or cut inside its last row, and an edit can put a word in per_seed.csv
     _config, out, _manifest = tiny_run
-    for name in ("per_seed.csv", "summary.csv"):
-        shutil.copy(out / name, tmp_path / name)
-    summary = tmp_path / "summary.csv"
-    summary.write_text(corrupt(summary.read_text()))
+    for copied in ("per_seed.csv", "summary.csv"):
+        shutil.copy(out / copied, tmp_path / copied)
+    damaged = tmp_path / name
+    damaged.write_text(corrupt(damaged.read_text()))
     capsys.readouterr()
     assert run_cli("report", "--dir", tmp_path) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(summary) in err and err.count("\n") == 1
+    assert err.startswith("error: ") and str(damaged) in err and message in err and err.count("\n") == 1
 
 
 # Every JSON file the CLI reads, with the command that reads it.  The cases
@@ -784,6 +830,8 @@ _JSON_CASES = [
     ("benchmark-config", "training-mistyped", _set("training.epochs", 1.5), "training.epochs must be int"),
     ("benchmark-config", "nested-mistyped", _set("lf_plan.num_lfs", "5"), "lf_plan.num_lfs must be int"),
     ("benchmark-config", "nested-refused", _set("dataset.sigma", 0), "dataset: sigma must be positive"),
+    ("benchmark-config", "classifier-refused", _set("classifier.hidden_dim", 0),
+     "classifier: hidden_dim and batch_size must be >= 1 and epochs >= 0"),
     ("augment-manifest", "unknown", _set("extra", 1), "unknown key extra"),
     ("augment-manifest", "missing", _set("config_hash", _DROP), "missing required key config_hash"),
     ("augment-manifest", "mistyped", _set("seeds", "11"), "seeds must be list"),
@@ -846,16 +894,35 @@ def test_readme_config_example_is_the_default(tmp_path):
     assert read_json(ExperimentConfig, path) == default_benchmark_config()
 
 
-def test_cli_flag_defaults_are_the_dataclass_defaults():
-    parser = build_parser()
-    args = parser.parse_args(["synth-data"])
-    spec = DatasetSpec(class_count=args.classes, feature_dim=args.dim, num_samples=args.samples, radius=args.radius,
-                       sigma=args.sigma, seed=args.seed)
-    assert spec == DatasetSpec()
-    args = parser.parse_args(["synth-lfs", "--dataset", "x"])
-    plan = LfPlan(num_lfs=args.num_lfs, accuracy_range=tuple(args.accuracy_range),
-                  propensity_range=tuple(args.propensity_range))
-    assert plan == LfPlan()
+def test_cli_flag_defaults_are_the_dataclass_defaults(tmp_path):
+    # an omitted flag takes the default of the class or function that owns it
+    out, ref = tmp_path / "runs", tmp_path / "ref"
+    assert run_cli("synth-data", "--out", out) == 0
+    data = load_dataset(out / "dataset.csv")
+    assert data.spec == DatasetSpec()
+    assert run_cli("synth-lfs", "--out", out, "--dataset", out / "dataset.csv", "--seed", "0") == 0
+    C = data.spec.class_count
+    ref.mkdir()
+    L = generate_synthetic_lfs(data.labels, LfPlan().sample(C, np.random.default_rng(0)), C)
+    for path in save_label_matrix(L, ref / "lfs.csv"):
+        assert (out / path.name).read_bytes() == path.read_bytes()
+    assert run_cli("fit-labelmodel", "--out", out, "--lfs", out / "lfs.csv", "--model", "ds") == 0
+    fit, report = dawid_skene_fit(L), json.loads((out / "labelmodel.json").read_text())
+    assert (report["iterations"], report["log_likelihood"]) == (fit.iterations, fit.log_likelihood)
+
+
+def test_cli_flags_given_override_the_json_file(tmp_path):
+    # one rule for synth-data and train: the JSON file (or the defaults), then the flags given
+    spec = DatasetSpec(class_count=3, num_samples=120, sigma=0.4)
+    (tmp_path / "spec.json").write_text(json.dumps(dataclasses.asdict(spec)))
+    out = tmp_path / "runs"
+    assert run_cli("synth-data", "--out", out, "--spec", tmp_path / "spec.json", "--samples", "90", "--classes", "5") == 0
+    assert load_dataset(out / "dataset.csv").spec == dataclasses.replace(spec, num_samples=90, class_count=5)
+    assert run_cli("synth-lfs", "--out", out, "--dataset", out / "dataset.csv", "--num-lfs", "4") == 0
+    (tmp_path / "train.json").write_text(json.dumps({"epochs": 3, "hidden_dim": 8, "z_dim": 4}))
+    args = ("train", "--out", out, "--dataset", out / "dataset.csv", "--lfs", out / "lfs.csv")
+    assert run_cli(*args, "--config", tmp_path / "train.json", "--epochs", "1") == 0
+    assert len((out / "model_history.csv").read_text().splitlines()) == 2  # header + 1 epoch
 
 
 def test_readme_cli_examples_parse():

@@ -221,6 +221,14 @@ def test_classifier_learns_separable_blobs():
     assert acc > 0.95
 
 
+@pytest.mark.parametrize("field, value", [("hidden_dim", 0), ("epochs", -3), ("batch_size", -1)])
+def test_classifier_config_refuses_a_config_that_trains_nothing(field, value):
+    # epochs -3 or batch_size -1 would train no step and score an untrained net
+    with pytest.raises(MetricError, match="hidden_dim and batch_size must be >= 1 and epochs >= 0"):
+        ClassifierConfig(**{field: value})
+    ClassifierConfig(epochs=0)  # zero epochs is allowed, as in TrainingConfig
+
+
 def test_classifier_warns_on_missing_class():
     x = np.zeros((4, 2))
     with pytest.warns(RuntimeWarning):

@@ -14,7 +14,7 @@ import wsganlab.autodiff as ad
 import wsganlab.wsgan as wsgan
 from wsganlab.autodiff import Tensor, backward, check_gradients_params
 from wsganlab.data import DataError, DatasetSpec, synth_dataset
-from wsganlab.labelmodel import LfSpec, crisp_labels, generate_synthetic_lfs, weighted_softmax_posterior
+from wsganlab.labelmodel import LabelMatrix, LfSpec, crisp_labels, generate_synthetic_lfs, weighted_softmax_posterior
 from wsganlab.wsgan import (
     AugmentationRejectedError,
     HISTORY_COLUMNS,
@@ -427,6 +427,35 @@ def test_train_input_validation():
     for mode in ("encoder", "infogan"):
         with pytest.raises(TrainingError):
             train(data, no_lfs, small_config(mode=mode))
+    with pytest.raises(TrainingError, match="label matrix has 4 classes, the dataset 3"):
+        train(data, LabelMatrix(L.votes, 4), small_config())
+
+
+def test_align_skips_a_batch_without_covered_rows_and_averages_the_rest(monkeypatch):
+    data, L = small_problem()
+    votes = np.zeros_like(L.votes)
+    kept = np.flatnonzero((L.votes != 0).any(axis=1))[:2]  # two covered rows: most batches cover none
+    votes[kept] = L.votes[kept]
+    real_loss, recorded = wsgan.alignment_loss, []
+
+    def spy_loss(bundle, x_batch, votes_batch, epoch):
+        loss, parts = real_loss(bundle, x_batch, votes_batch, epoch)
+        recorded.append((epoch, float(loss.data)))
+        return loss, parts
+
+    monkeypatch.setattr(wsgan, "alignment_loss", spy_loss)
+    _, history = train(data, votes, small_config(mode="encoder", batch_size=8))
+    batches = -(-data.features.shape[0] // 8)
+    for epoch, align in enumerate(history.column("align_loss")):
+        values = [v for e, v in recorded if e == epoch]
+        assert 0 < len(values) < batches
+        assert align == sum(values) / len(values)  # the mean over the batches that recorded it
+
+
+def test_infogan_on_an_all_abstain_matrix_records_zero_pl_accuracy():
+    data, L = small_problem()
+    _, history = train(data, np.zeros_like(L.votes), small_config(mode="infogan"))
+    assert history.column("pl_accuracy") == [0.0, 0.0]
 
 
 def test_one_config_trains_problems_of_any_size():
